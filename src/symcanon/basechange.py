@@ -19,16 +19,19 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceededError, ContractError
-from .fields import DetRng, Scalar
+from .fields import DetRng
 from .ideals import DEFAULT_GB_CONFIG, GBConfig, Ideal, ideal_equal, ideal_quotient
 from .poly import Polynomial, PolyRing
 from .tableau import (
     OpMove,
     PolyMatrix,
     SymmetricTableau,
-    _apply_column_move,
+    act_on_blocks,
+    apply_op,
+    apply_op_word,
     check_symmetry,
     matrix_minor,
+    mirror_pair_word,
 )
 
 
@@ -79,17 +82,18 @@ class SquareSymmetricPair:
     def size(self) -> int:
         return len(self.alpha)
 
+    width = size
+
+    def _row_matrix(self, g):
+        raise ContractError("rows(g) does not act on a square pair: it has no graded first row")
+
+    _acted = act_on_blocks
+
     def apply_column_move(self, move: OpMove) -> "SquareSymmetricPair":
-        alpha = [list(r) for r in self.alpha]
-        beta = [list(r) for r in self.beta]
-        _apply_column_move(alpha, beta, move)
-        return SquareSymmetricPair(self.ring, alpha, beta)
+        return apply_op(self, move)
 
     def apply_word(self, moves: Sequence[OpMove]) -> "SquareSymmetricPair":
-        out = self
-        for mv in moves:
-            out = out.apply_column_move(mv)
-        return out
+        return apply_op_word(self, moves)
 
     def __eq__(self, other):
         return (
@@ -100,10 +104,6 @@ class SquareSymmetricPair:
 
 
 PairLike = Union[SquareSymmetricPair, SymmetricTableau]
-
-
-def _blocks(T: PairLike) -> Tuple[PolyMatrix, PolyMatrix, PolyRing]:
-    return T.alpha, T.beta, T.ring
 
 
 def plucker_residual(
@@ -179,13 +179,7 @@ class BaseChangeCert:
     def reverify(self, original: PairLike, config: GBConfig = DEFAULT_GB_CONFIG) -> bool:
         """Independent re-check: replay the moves, recompute both
         determinants and re-run the quotient test."""
-        current = original
-        for mv in self.moves:
-            current = (
-                current.apply_column_move(mv)
-                if isinstance(current, SquareSymmetricPair)
-                else _tableau_column_move(current, mv)
-            )
+        current = apply_op_word(original, self.moves)
         ring = current.ring
         size = len(current.alpha)
         idx = tuple(range(size))
@@ -196,27 +190,6 @@ class BaseChangeCert:
         if da.is_zero():
             return False
         return is_nzd_mod(db, Ideal(ring, [da]), config=config)
-
-
-def _tableau_column_move(T: SymmetricTableau, move: OpMove) -> SymmetricTableau:
-    from .tableau import apply_op
-
-    return apply_op(T, move)
-
-
-def _mirror_pair_word(ring: PolyRing, lam: Scalar, mu: int, nu: int) -> List[OpMove]:
-    """beta_mu += lam*alpha_nu and beta_nu += lam*alpha_mu, fixing alpha."""
-    field = ring.field
-    rot = lambda m: OpMove("rotate", None, m)
-    if mu == nu:
-        return [rot(mu), OpMove("add_col_same", field.neg(lam), mu), rot(mu), rot(mu), rot(mu)]
-    return [
-        rot(mu),
-        rot(nu),
-        OpMove("add_col_pair", field.neg(lam), mu, nu),
-        rot(mu), rot(mu), rot(mu),
-        rot(nu), rot(nu), rot(nu),
-    ]
 
 
 def _mixed_minor(alpha: PolyMatrix, beta: PolyMatrix, ring: PolyRing, idx: MinorIndex, memo) -> Polynomial:
@@ -260,16 +233,6 @@ def make_koszul_type(
     moves: List[OpMove] = []
     size = len(T.alpha)
 
-    def apply_word(state: PairLike, word: Sequence[OpMove]) -> PairLike:
-        out = state
-        for mv in word:
-            out = (
-                out.apply_column_move(mv)
-                if isinstance(out, SquareSymmetricPair)
-                else _tableau_column_move(out, mv)
-            )
-        return out
-
     # -- phase 1: det(alpha) != 0 ------------------------------------------
     trials = 0
     while _det_block(current.alpha, current.ring).is_zero():
@@ -301,8 +264,8 @@ def make_koszul_type(
             while trials < trial_budget and not improved:
                 trials += 1
                 zeta = rng.nonzero_scalar(current.ring.field)
-                word = _mirror_pair_word(current.ring, zeta, H, L)
-                candidate = apply_word(current, word)
+                word = mirror_pair_word(zeta, H, L, current.ring)
+                candidate = apply_op_word(current, word)
                 if not _mixed_minor(candidate.alpha, candidate.beta, candidate.ring, target, {}).is_zero():
                     current = candidate
                     moves.extend(word)
@@ -319,7 +282,7 @@ def make_koszul_type(
             trials += 1
             b = rng.nonzero_scalar(current.ring.field)
             word = [OpMove("add_col_same", b, c) for c in best.beta_cols]
-            candidate = apply_word(current, word)
+            candidate = apply_op_word(current, word)
             if not _det_block(candidate.alpha, candidate.ring).is_zero():
                 current = candidate
                 moves.extend(word)
@@ -346,8 +309,8 @@ def make_koszul_type(
         L = (trials // size) % size
         trials += 1
         zeta = rng.nonzero_scalar(current.ring.field)
-        word = _mirror_pair_word(current.ring, zeta, H, L)
-        candidate = apply_word(current, word)
+        word = mirror_pair_word(zeta, H, L, current.ring)
+        candidate = apply_op_word(current, word)
         cand_det_beta = _det_block(candidate.beta, candidate.ring)
         if cand_det_beta.is_zero():
             continue

@@ -778,78 +778,46 @@ class VerificationReport:
 def verify_instance(
     T: SymmetricTableau,
     config: GBConfig = DEFAULT_GB_CONFIG,
-    parallelism: int = 1,
 ) -> VerificationReport:
     """Run the full battery: symmetry, acyclicity, codimension of
     I_{n+1}(A) (the no-common-factor surrogate), degeneracy scheme, ring
     condition, invariant consistency.  Primality of the annihilator and the
     singularity hypothesis on X are recorded as assumed, never tested.
-
-    Independent sub-checks may fan out over threads; every sub-check is
-    deterministic and the report is assembled in a fixed key order, so the
-    result does not depend on the schedule.
     """
     resolution = build_resolution(T)
     inv = invariants(resolution)
 
-    def check_symmetry_entry():
-        ok, where = check_symmetry(T.alpha, T.beta, T.ring)
-        return CheckResult("pass" if ok else "fail", "" if ok else f"fails at {where}")
-
-    def check_acyclicity_entry():
-        acyc = acyclicity_check(resolution, config)
-        return (
-            CheckResult(
-                "pass" if acyc.passed else "fail",
-                f"codim I_{T.n + 1}(A) = {acyc.codim_first}, second map {acyc.codim_second}",
-            ),
-            CheckResult(
-                "pass" if acyc.codim_first == 2 else "fail",
-                f"expected exactly 2, got {acyc.codim_first}",
-            ),
-        )
-
-    def check_degeneracy_and_rc():
-        scheme = degeneracy_scheme(T, config=config)
-        if scheme.finite and scheme.reduced and scheme.points == inv.delta:
-            deg = CheckResult("pass", f"{scheme.points} reduced points")
-        else:
-            deg = CheckResult(
-                "fail",
-                f"finite={scheme.finite} reduced={scheme.reduced} points={scheme.points} "
-                f"expected delta={inv.delta}",
-            )
-        rc = ring_condition_check(T, scheme=scheme, config=config)
-        if rc.status == "skipped":
-            rc_res = CheckResult("skipped", rc.reason or "")
-        else:
-            detail = f"saturated_equal={rc.saturated_equal}"
-            if rc.unsaturated_equal is not None:
-                detail += f", unsaturated_equal={rc.unsaturated_equal}"
-            rc_res = CheckResult(rc.status, detail)
-        return deg, rc_res
-
-    if parallelism > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            f_sym = pool.submit(check_symmetry_entry)
-            f_acyc = pool.submit(check_acyclicity_entry)
-            f_deg = pool.submit(check_degeneracy_and_rc)
-            sym = f_sym.result()
-            acyc_res, codim_res = f_acyc.result()
-            deg_res, rc_res = f_deg.result()
-    else:
-        sym = check_symmetry_entry()
-        acyc_res, codim_res = check_acyclicity_entry()
-        deg_res, rc_res = check_degeneracy_and_rc()
-
     checks: Dict[str, CheckResult] = {}
-    checks["symmetry"] = sym
-    checks["acyclicity"] = acyc_res
-    checks["codim_surface_ideal"] = codim_res
-    checks["degeneracy"] = deg_res
-    checks["ring_condition"] = rc_res
+    ok, where = check_symmetry(T.alpha, T.beta, T.ring)
+    checks["symmetry"] = CheckResult("pass" if ok else "fail", "" if ok else f"fails at {where}")
+
+    acyc = acyclicity_check(resolution, config)
+    checks["acyclicity"] = CheckResult(
+        "pass" if acyc.passed else "fail",
+        f"codim I_{T.n + 1}(A) = {acyc.codim_first}, second map {acyc.codim_second}",
+    )
+    checks["codim_surface_ideal"] = CheckResult(
+        "pass" if acyc.codim_first == 2 else "fail",
+        f"expected exactly 2, got {acyc.codim_first}",
+    )
+
+    scheme = degeneracy_scheme(T, config=config)
+    if scheme.finite and scheme.reduced and scheme.points == inv.delta:
+        checks["degeneracy"] = CheckResult("pass", f"{scheme.points} reduced points")
+    else:
+        checks["degeneracy"] = CheckResult(
+            "fail",
+            f"finite={scheme.finite} reduced={scheme.reduced} points={scheme.points} "
+            f"expected delta={inv.delta}",
+        )
+    rc = ring_condition_check(T, scheme=scheme, config=config)
+    if rc.status == "skipped":
+        checks["ring_condition"] = CheckResult("skipped", rc.reason or "")
+    else:
+        detail = f"saturated_equal={rc.saturated_equal}"
+        if rc.unsaturated_equal is not None:
+            detail += f", unsaturated_equal={rc.unsaturated_equal}"
+        checks["ring_condition"] = CheckResult(rc.status, detail)
     checks["invariants"] = CheckResult(
         "pass",
         f"p_g={inv.p_g} q={inv.q} K2={inv.K2} chi={inv.chi} delta={inv.delta}",

@@ -45,7 +45,6 @@ class Config:
     seed: int
     degree_budget: int
     pair_budget: int
-    parallelism: int
     verbosity: int
 
     def gb_config(self) -> GBConfig:
@@ -81,7 +80,6 @@ def resolve_config(args: argparse.Namespace) -> Config:
         seed=int(pick(getattr(args, "seed", None), "SYMCANON_SEED", "seed", 0)),
         degree_budget=int(pick(None, "SYMCANON_DEGREE_BUDGET", "degree_budget", 48)),
         pair_budget=int(pick(None, "SYMCANON_PAIR_BUDGET", "pair_budget", 400_000)),
-        parallelism=int(pick(None, "SYMCANON_PARALLELISM", "parallelism", 1)),
         verbosity=int(pick(None, "SYMCANON_VERBOSITY", "verbosity", 0)),
     )
 
@@ -116,7 +114,7 @@ def _cmd_generate(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = resolve_config(args)
     T = serialize.tableau_from_json(_read_json(args.input))
-    report = verify_instance(T, config=cfg.gb_config(), parallelism=cfg.parallelism)
+    report = verify_instance(T, config=cfg.gb_config())
     if args.report:
         _write_text(args.report, serialize.render_report(report, "json"))
     _write_text(None, serialize.render_report(report, args.format))

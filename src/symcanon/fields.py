@@ -47,7 +47,8 @@ class FieldSpec:
 
     ``kind`` is ``"rationals"`` or ``"prime_field"``.  The characteristic is
     0 or an odd prime; characteristic 2 is refused globally because the
-    base-change arguments need 2 invertible.
+    base-change arguments need 2 invertible, and primes with
+    (p-1)^2 >= 2^63 because mod-p elimination works in int64.
     """
 
     kind: str
@@ -62,6 +63,10 @@ class FieldSpec:
             if p < 3 or not _is_prime(p):
                 raise ContractError(
                     f"prime_field characteristic must be a prime >= 3, got {p}"
+                )
+            if (p - 1) ** 2 >= 1 << 63:
+                raise ContractError(
+                    f"prime {p} too large: (p-1)^2 must stay below 2^63 for int64 elimination"
                 )
         else:
             raise ContractError(f"unknown field kind {self.kind!r}")
@@ -112,9 +117,6 @@ class FieldSpec:
 
     def is_zero(self, a: Scalar) -> bool:
         return not a
-
-    def scalar_str(self, a: Scalar) -> str:
-        return str(a)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "characteristic": self.characteristic}

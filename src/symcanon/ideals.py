@@ -81,11 +81,6 @@ class Ideal:
         gb = groebner_basis(self, GREVLEX)
         return any(g.degree() == 0 for g in gb)
 
-    def min_generator_degree(self) -> Optional[int]:
-        if not self.generators:
-            return None
-        return min(g.degree() for g in self.generators)
-
 
 def irrelevant_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, ring.gens())

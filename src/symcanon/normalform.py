@@ -37,10 +37,12 @@ from .tableau import (
     apply_op,
     apply_op_word,
     apply_symplectic,
-    column_move_matrix,
     degeneracy_scheme,
     erase_first_row,
+    mirror_pair_word,
+    move_word_matrix,
     rows_move,
+    sum_field,
     symplectic_defect,
 )
 
@@ -163,12 +165,7 @@ def scalar_orbit_reduce(M: ScalarTableau) -> OrbitReduction:
     b3 = linalg.matmul(linalg.matmul(L3, b2, field), F, field)
 
     # phase 4: rotate the s fresh unit columns from b into a
-    S4 = linalg.identity(2 * width, field)
-    for mu in range(r, r + s_rank):
-        S4[mu][mu] = field.zero()
-        S4[width + mu][width + mu] = field.zero()
-        S4[width + mu][mu] = field.one()
-        S4[mu][width + mu] = field.neg(field.one())
+    S4 = move_word_matrix([OpMove("rotate", None, mu) for mu in range(r, r + s_rank)], width, ring)
 
     left = linalg.matmul(L3, L1, field)
     right = linalg.matmul(linalg.matmul(S1, S2, field), linalg.matmul(S3, S4, field), field)
@@ -181,13 +178,6 @@ def scalar_orbit_reduce(M: ScalarTableau) -> OrbitReduction:
     defect = symplectic_defect(right, ring)
     assert all(field.is_zero(c) for row in defect for c in row), "right witness not symplectic"
     return OrbitReduction(OrbitClass(r, s_rank), ScalarTableau(ring, canon_a, canon_b), left, right)
-
-
-def sum_field(field, items):
-    total = field.zero()
-    for x in items:
-        total = field.add(total, x)
-    return total
 
 
 # -- normal shape check ------------------------------------------------------------
@@ -231,42 +221,14 @@ def verify_normal_shape(T: SymmetricTableau) -> ShapeReport:
 # -- symplectic factorization into (Op) moves ---------------------------------------
 
 
-def _move_word_matrix(moves: Sequence[OpMove], width: int, ring: PolyRing) -> List[List[Scalar]]:
-    field = ring.field
-    total = linalg.identity(2 * width, field)
-    for mv in moves:
-        total = linalg.matmul(total, column_move_matrix(mv, width, ring), field)
-    return total
-
-
-def _mirror_add_same(lam: Scalar, mu: int, ring: PolyRing) -> List[OpMove]:
-    """beta_mu += lam * alpha_mu as a rotate-conjugated word."""
-    field = ring.field
-    return [
-        OpMove("rotate", None, mu),
-        OpMove("add_col_same", field.neg(lam), mu),
-        OpMove("rotate", None, mu),
-        OpMove("rotate", None, mu),
-        OpMove("rotate", None, mu),
-    ]
-
-
-def _mirror_add_pair(lam: Scalar, mu: int, nu: int, ring: PolyRing) -> List[OpMove]:
-    """beta_mu += lam*alpha_nu and beta_nu += lam*alpha_mu as a word."""
-    field = ring.field
-    rot = lambda m: OpMove("rotate", None, m)
-    return [rot(mu), rot(nu), OpMove("add_col_pair", field.neg(lam), mu, nu),
-            rot(mu), rot(mu), rot(mu), rot(nu), rot(nu), rot(nu)]
-
-
 def _scale_pair_word(t: Scalar, mu: int, ring: PolyRing) -> List[OpMove]:
     """diag(t, 1/t) on the column pair mu: alpha_mu *= t, beta_mu /= t."""
     field = ring.field
     inv = field.inv(t)
     word = (
-        _mirror_add_same(t, mu, ring)
+        mirror_pair_word(t, mu, mu, ring)
         + [OpMove("add_col_same", field.neg(inv), mu)]
-        + _mirror_add_same(t, mu, ring)
+        + mirror_pair_word(t, mu, mu, ring)
         + [OpMove("rotate", None, mu)]
     )
     return word
@@ -294,7 +256,7 @@ def factor_symplectic(S: List[List[Scalar]], ring: PolyRing) -> List[OpMove]:
     for sz in range(width + 1):
         for subset in combinations(range(width), sz):
             rot_word = [OpMove("rotate", None, mu) for mu in subset]
-            W = _move_word_matrix(rot_word, width, ring)
+            W = move_word_matrix(rot_word, width, ring)
             cand = linalg.matmul(S, W, field)
             P = [[cand[i][j] for j in range(width)] for i in range(width)]
             if linalg.det(P, field) != field.zero():
@@ -325,15 +287,15 @@ def factor_symplectic(S: List[List[Scalar]], ring: PolyRing) -> List[OpMove]:
     # upper factor [[I,Y],[0,I]]
     for mu in range(width):
         if not field.is_zero(Y[mu][mu]):
-            word.extend(_mirror_add_same(Y[mu][mu], mu, ring))
+            word.extend(mirror_pair_word(Y[mu][mu], mu, mu, ring))
         for nu in range(mu + 1, width):
             if not field.is_zero(Y[mu][nu]):
-                word.extend(_mirror_add_pair(Y[mu][nu], mu, nu, ring))
+                word.extend(mirror_pair_word(Y[mu][nu], mu, nu, ring))
     # undo the initial rotations
     for mu in reversed(rotation_set):
         word.extend([OpMove("rotate", None, mu)] * 3)
 
-    total = _move_word_matrix(word, width, ring)
+    total = move_word_matrix(word, width, ring)
     assert total == S, "symplectic factorization replay mismatch"
     return word
 

@@ -91,6 +91,3 @@ def monomial_div(a: Monomial, b: Monomial) -> Monomial:
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
-
-def monomial_gcd(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(min(x, y) for x, y in zip(a, b))

@@ -260,10 +260,6 @@ class Polynomial:
     def coefficient(self, m: Monomial) -> Scalar:
         return self.terms.get(tuple(m), self.ring.field.zero())
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        wd = self.ring.weighted_degree
-        return Polynomial(self.ring, {m: c for m, c in self.terms.items() if wd(m) == d})
-
     def evaluate(self, point: Sequence[Scalar]) -> Scalar:
         """Exact evaluation at a point with coordinates in the field."""
         field = self.ring.field

@@ -207,10 +207,6 @@ def pair_from_json(data: dict) -> SquareSymmetricPair:
     return SquareSymmetricPair(ring, alpha, beta)
 
 
-def report_to_json(report: VerificationReport) -> dict:
-    return report.to_json()
-
-
 def dumps(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 

@@ -5,8 +5,8 @@ forms in the first row, linear forms elsewhere, and satisfies the exact
 symmetry alpha beta^t = beta alpha^t.  The six symmetry-preserving moves
 (row mixes fixing the first row, the four column-coupling moves, pair swaps
 and pair rotations) act on it; together they realize the PGl x PSp action.
-Scalar tableaux (the n x (2n+2) degree-0 analogue) share the same column
-moves through degree-0 polynomials.
+Scalar tableaux (the n x (2n+2) degree-0 analogue) share the same move
+engine: every column move is its symplectic scalar matrix.
 """
 
 from __future__ import annotations
@@ -110,6 +110,10 @@ class SymmetricTableau:
 
     # -- views ---------------------------------------------------------------
 
+    @property
+    def width(self) -> int:
+        return self.n + 1
+
     def full_matrix(self) -> PolyMatrix:
         """A = (alpha beta), an (n+1) x (2n+2) matrix."""
         return [ar + br for ar, br in zip(self.alpha, self.beta)]
@@ -127,6 +131,23 @@ class SymmetricTableau:
 
     def __repr__(self):
         return f"SymmetricTableau(n={self.n})"
+
+    # -- hooks of the move engine (apply_op_word) ----------------------------
+
+    def _row_matrix(self, g: List[List[Scalar]]) -> List[List[Scalar]]:
+        m = self.n + 1
+        if len(g) != m or any(len(r) != m for r in g):
+            raise ContractError("rows(g): g must be (n+1) x (n+1)")
+        field = self.ring.field
+        first_ok = all(
+            (field.is_zero(c) if j else c == field.one()) for j, c in enumerate(g[0])
+        ) and all(field.is_zero(g[i][0]) for i in range(1, m))
+        if not first_ok:
+            raise ContractError("rows(g): g must have the block form diag(1, phi)")
+        return _invertible(g, field)
+
+    def _acted(self, G, S) -> "SymmetricTableau":
+        return act_on_blocks(self, G, S)
 
 
 # -- moves ---------------------------------------------------------------------
@@ -163,73 +184,29 @@ def rows_move(g: Sequence[Sequence[Scalar]]) -> OpMove:
     return OpMove("rows", g=tuple(tuple(r) for r in g))
 
 
-def _check_index(mu: int, width: int):
-    if not 0 <= mu < width:
+def _check_index(mu, width: int):
+    if not isinstance(mu, int) or not 0 <= mu < width:
         raise ContractError(f"column index {mu} out of range 0..{width - 1}")
 
 
-def _apply_column_move(alpha: PolyMatrix, beta: PolyMatrix, move: OpMove):
-    """Shared column engine; mutates copies handed in by the caller."""
-    width = len(alpha[0])
-    kind = move.kind
-    if kind == "swap":
-        mu, nu = move.mu, move.nu
-        _check_index(mu, width), _check_index(nu, width)
-        for r in range(len(alpha)):
-            alpha[r][mu], alpha[r][nu] = alpha[r][nu], alpha[r][mu]
-            beta[r][mu], beta[r][nu] = beta[r][nu], beta[r][mu]
-        return
-    if kind == "rotate":
-        mu = move.mu
-        _check_index(mu, width)
-        for r in range(len(alpha)):
-            alpha[r][mu], beta[r][mu] = beta[r][mu], -alpha[r][mu]
-        return
-    lam = move.lam
-    if kind == "add_col_same":
-        mu = move.mu
-        _check_index(mu, width)
-        for r in range(len(alpha)):
-            alpha[r][mu] = alpha[r][mu] + beta[r][mu].scale(lam)
-        return
-    if kind == "add_col_pair":
-        mu, nu = move.mu, move.nu
-        _check_index(mu, width), _check_index(nu, width)
-        for r in range(len(alpha)):
-            add_mu = beta[r][nu].scale(lam)
-            add_nu = beta[r][mu].scale(lam)
-            alpha[r][mu] = alpha[r][mu] + add_mu
-            alpha[r][nu] = alpha[r][nu] + add_nu
-        return
-    if kind == "transfer":
-        mu, nu = move.mu, move.nu
-        if mu == nu:
-            raise ContractError("transfer needs distinct column indices")
-        _check_index(mu, width), _check_index(nu, width)
-        for r in range(len(alpha)):
-            alpha[r][mu] = alpha[r][mu] + alpha[r][nu].scale(lam)
-            beta[r][nu] = beta[r][nu] - beta[r][mu].scale(lam)
-        return
-    raise ContractError(f"not a column move: {kind}")
-
-
-def move_inverse(move: OpMove, ring: PolyRing) -> List[OpMove]:
-    field = ring.field
-    if move.kind == "swap":
-        return [move]
-    if move.kind == "rotate":
-        return [move, move, move]
-    if move.kind in ("add_col_same", "add_col_pair", "transfer"):
-        return [OpMove(move.kind, field.neg(move.lam), move.mu, move.nu)]
-    g = [list(r) for r in move.g]
-    return [rows_move(linalg.inverse(g, field))]
-
-
 def column_move_matrix(move: OpMove, width: int, ring: PolyRing) -> List[List[Scalar]]:
-    """The symplectic 2*width x 2*width matrix of a column move (A -> A*M)."""
+    """The symplectic 2*width x 2*width matrix M of a column move (A -> A*M).
+
+    This is the only place that turns a column move kind into an action;
+    the indices and the scalar are validated here.
+    """
     field = ring.field
-    m = linalg.identity(2 * width, field)
     k, mu, nu, lam = move.kind, move.mu, move.nu, move.lam
+    if k not in COLUMN_KINDS:
+        raise ContractError(f"not a column move: {k}")
+    _check_index(mu, width)
+    if k in ("add_col_pair", "transfer", "swap"):
+        _check_index(nu, width)
+    if k == "transfer" and mu == nu:
+        raise ContractError("transfer needs distinct column indices")
+    if k in ("add_col_same", "add_col_pair", "transfer") and lam is None:
+        raise ContractError(f"{k} needs a scalar lam")
+    m = linalg.identity(2 * width, field)
     if k == "swap":
         for base in (0, width):
             m[base + mu][base + mu] = field.zero()
@@ -246,45 +223,35 @@ def column_move_matrix(move: OpMove, width: int, ring: PolyRing) -> List[List[Sc
     elif k == "add_col_pair":
         m[width + nu][mu] = field.add(m[width + nu][mu], lam)
         m[width + mu][nu] = field.add(m[width + mu][nu], lam)
-    elif k == "transfer":
+    else:  # transfer
         m[nu][mu] = lam
         m[width + mu][width + nu] = field.neg(lam)
-    else:
-        raise ContractError(f"not a column move: {k}")
     return m
 
 
-def apply_op(T: SymmetricTableau, move: OpMove) -> SymmetricTableau:
-    """Apply one (Op) move; the result is rebuilt through the validating
-    constructor, so symmetry is re-asserted exactly on every application."""
-    ring = T.ring
-    if move.kind == "rows":
-        g = [list(r) for r in move.g]
-        m = T.n + 1
-        if len(g) != m or any(len(r) != m for r in g):
-            raise ContractError("rows(g): g must be (n+1) x (n+1)")
-        field = ring.field
-        first_ok = all(
-            (field.is_zero(c) if j else c == field.one()) for j, c in enumerate(g[0])
-        ) and all(field.is_zero(g[i][0]) for i in range(1, m))
-        if not first_ok:
-            raise ContractError("rows(g): g must have the block form diag(1, phi)")
-        if linalg.det(g, field) == field.zero():
-            raise ContractError("rows(g): g must be invertible")
-        gp = [[ring.constant(c) for c in row] for row in g]
-        alpha = _matmul_poly(gp, T.alpha, ring)
-        beta = _matmul_poly(gp, T.beta, ring)
-        return SymmetricTableau(ring, alpha, beta)
-    alpha = [list(r) for r in T.alpha]
-    beta = [list(r) for r in T.beta]
-    _apply_column_move(alpha, beta, move)
-    return SymmetricTableau(ring, alpha, beta)
+def move_word_matrix(moves: Sequence[OpMove], width: int, ring: PolyRing) -> List[List[Scalar]]:
+    """Product of the column-move matrices of a word, in application order."""
+    field = ring.field
+    total = linalg.identity(2 * width, field)
+    for mv in moves:
+        total = linalg.matmul(total, column_move_matrix(mv, width, ring), field)
+    return total
 
 
-def apply_op_word(T: SymmetricTableau, moves: Sequence[OpMove]) -> SymmetricTableau:
-    for m in moves:
-        T = apply_op(T, m)
-    return T
+def mirror_pair_word(lam: Scalar, mu: int, nu: int, ring: PolyRing) -> List[OpMove]:
+    """beta_mu += lam*alpha_nu and beta_nu += lam*alpha_mu, alpha fixed, as a
+    rotate-conjugated word; for mu == nu it is beta_mu += lam*alpha_mu."""
+    field = ring.field
+    rot = lambda m: OpMove("rotate", None, m)
+    if mu == nu:
+        return [rot(mu), OpMove("add_col_same", field.neg(lam), mu), rot(mu), rot(mu), rot(mu)]
+    return [
+        rot(mu),
+        rot(nu),
+        OpMove("add_col_pair", field.neg(lam), mu, nu),
+        rot(mu), rot(mu), rot(mu),
+        rot(nu), rot(nu), rot(nu),
+    ]
 
 
 def symplectic_defect(S: List[List[Scalar]], ring: PolyRing) -> List[List[Scalar]]:
@@ -303,22 +270,83 @@ def symplectic_defect(S: List[List[Scalar]], ring: PolyRing) -> List[List[Scalar
     ]
 
 
-def apply_symplectic(T: SymmetricTableau, S: List[List[Scalar]]) -> SymmetricTableau:
-    """Transform the columns by a scalar symplectic S; rejected with the
-    defect matrix S J S^t - J when S is not symplectic."""
-    ring = T.ring
-    size = 2 * (T.n + 1)
-    if len(S) != size or any(len(r) != size for r in S):
-        raise ContractError(f"symplectic matrix must be {size} x {size}")
+def _require_symplectic(S: List[List[Scalar]], ring: PolyRing) -> None:
     defect = symplectic_defect(S, ring)
     if any(not ring.field.is_zero(c) for row in defect for c in row):
         raise ContractError(f"matrix is not symplectic; defect = {defect}")
-    Sp = [[ring.constant(c) for c in row] for row in S]
-    full = _matmul_poly(T.full_matrix(), Sp, ring)
-    half = T.n + 1
-    alpha = [row[:half] for row in full]
-    beta = [row[half:] for row in full]
-    return SymmetricTableau(ring, alpha, beta)
+
+
+def _invertible(g: List[List[Scalar]], field) -> List[List[Scalar]]:
+    if linalg.det(g, field) == field.zero():
+        raise ContractError("rows(g): g must be invertible")
+    return g
+
+
+def _combination(coeffs: Sequence[Scalar], polys: Sequence[Polynomial], ring: PolyRing) -> Polynomial:
+    """sum_k coeffs[k] * polys[k], skipping zero coefficients and entries."""
+    field = ring.field
+    pairs = [(c, f) for c, f in zip(coeffs, polys) if not field.is_zero(c) and f.terms]
+    if len(pairs) == 1 and pairs[0][0] == field.one():
+        return pairs[0][1]
+    zero = field.zero()
+    out: dict = {}
+    for c, f in pairs:
+        for m, v in f.terms.items():
+            out[m] = field.add(out.get(m, zero), field.mul(c, v))
+    return Polynomial(ring, {m: v for m, v in out.items() if not field.is_zero(v)})
+
+
+def act_on_blocks(T, G: Optional[List[List[Scalar]]], S: List[List[Scalar]]):
+    """type(T) rebuilt from G * (alpha beta) * S, G None for the identity.
+
+    Serves every tableau class with polynomial blocks ``alpha``, ``beta``;
+    the result passes the class's validating constructor once.
+    """
+    ring = T.ring
+    w = len(T.alpha)
+    full = [ar + br for ar, br in zip(T.alpha, T.beta)]
+    full = [[_combination(col, row, ring) for col in zip(*S)] for row in full]
+    if G is not None:
+        by_col = list(zip(*full))
+        full = [[_combination(g_row, col, ring) for col in by_col] for g_row in G]
+    return type(T)(ring, [r[:w] for r in full], [r[w:] for r in full])
+
+
+def apply_op_word(T, moves: Sequence[OpMove]):
+    """Apply a word of (Op) moves to a SymmetricTableau, a SquareSymmetricPair
+    or a ScalarTableau.
+
+    Row and column actions commute, so the word acts as G * (alpha beta) * S:
+    G is the product of its row matrices, S the product of its column
+    matrices in application order.  Symmetry is checked on scalars inside
+    the word (S must be symplectic) and exactly on the result, which is
+    built once through the validating constructor.
+    """
+    ring = T.ring
+    field = ring.field
+    G = None
+    for mv in moves:
+        if mv.kind == "rows":
+            g = T._row_matrix([list(r) for r in mv.g])
+            G = g if G is None else linalg.matmul(g, G, field)
+    S = move_word_matrix([mv for mv in moves if mv.kind != "rows"], T.width, ring)
+    _require_symplectic(S, ring)
+    return T._acted(G, S)
+
+
+def apply_op(T, move: OpMove):
+    """Apply one (Op) move, as the one-move word."""
+    return apply_op_word(T, [move])
+
+
+def apply_symplectic(T, S: List[List[Scalar]]):
+    """Transform the columns by a scalar symplectic S; rejected with the
+    defect matrix S J S^t - J when S is not symplectic."""
+    size = 2 * T.width
+    if len(S) != size or any(len(r) != size for r in S):
+        raise ContractError(f"symplectic matrix must be {size} x {size}")
+    _require_symplectic(S, T.ring)
+    return T._acted(None, S)
 
 
 # -- Fitting ideals and the degeneracy scheme -----------------------------------
@@ -408,8 +436,8 @@ def degeneracy_scheme(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG)
 class ScalarTableau:
     """Scalar pair (a b), n x (n+1) blocks with a b^t = b a^t.
 
-    Shares the column move calculus with the graded tableau by running the
-    same engine on degree-0 polynomials.
+    Shares the move engine with the graded tableau: column moves act by
+    their scalar matrices, row moves by any invertible n x n matrix.
     """
 
     def __init__(self, ring: PolyRing, a: List[List[Scalar]], b: List[List[Scalar]]):
@@ -430,35 +458,34 @@ class ScalarTableau:
         self.a = [list(r) for r in a]
         self.b = [list(r) for r in b]
 
+    @property
+    def width(self) -> int:
+        return self.n + 1
+
     def full_matrix(self) -> List[List[Scalar]]:
         return [ar + br for ar, br in zip(self.a, self.b)]
 
+    def _row_matrix(self, g: List[List[Scalar]]) -> List[List[Scalar]]:
+        if len(g) != self.n or any(len(r) != self.n for r in g):
+            raise ContractError("rows(g): g must be n x n")
+        return _invertible(g, self.ring.field)
+
+    def _acted(self, G, S) -> "ScalarTableau":
+        field = self.ring.field
+        full = linalg.matmul(self.full_matrix(), S, field)
+        if G is not None:
+            full = linalg.matmul(G, full, field)
+        w = self.width
+        return ScalarTableau(self.ring, [r[:w] for r in full], [r[w:] for r in full])
+
     def apply_column_move(self, move: OpMove) -> "ScalarTableau":
-        ring = self.ring
-        alpha = [[ring.constant(c) for c in row] for row in self.a]
-        beta = [[ring.constant(c) for c in row] for row in self.b]
-        _apply_column_move(alpha, beta, move)
-        zero = ring.field.zero()
-        a = [[e.coefficient((0,) * ring.nvars) if not e.is_zero() else zero for e in row] for row in alpha]
-        b = [[e.coefficient((0,) * ring.nvars) if not e.is_zero() else zero for e in row] for row in beta]
-        return ScalarTableau(ring, a, b)
+        return apply_op(self, move)
 
     def apply_rows(self, g: List[List[Scalar]]) -> "ScalarTableau":
-        field = self.ring.field
-        if linalg.det(g, field) == field.zero():
-            raise ContractError("row action must be invertible")
-        return ScalarTableau(
-            self.ring, linalg.matmul(g, self.a, field), linalg.matmul(g, self.b, field)
-        )
+        return apply_op(self, rows_move(g))
 
     def apply_symplectic(self, S: List[List[Scalar]]) -> "ScalarTableau":
-        ring = self.ring
-        defect = symplectic_defect(S, ring)
-        if any(not ring.field.is_zero(c) for row in defect for c in row):
-            raise ContractError("matrix is not symplectic")
-        full = linalg.matmul(self.full_matrix(), S, ring.field)
-        w = self.n + 1
-        return ScalarTableau(ring, [r[:w] for r in full], [r[w:] for r in full])
+        return apply_symplectic(self, S)
 
     def rank(self) -> int:
         return linalg.rank(self.full_matrix(), self.ring.field)

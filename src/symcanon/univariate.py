@@ -97,10 +97,6 @@ def squarefree_part(f: Coeffs, field: FieldSpec) -> Coeffs:
     return divmod_poly(f, g, field)[0]
 
 
-def is_squarefree(f: Coeffs, field: FieldSpec) -> bool:
-    return degree(gcd(f, derivative(f, field), field)) == 0
-
-
 def evaluate(f: Coeffs, x: Scalar, field: FieldSpec) -> Scalar:
     acc = field.zero()
     for c in reversed(f):

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from symcanon.cli import main
+from symcanon.errors import ContractError
 from symcanon.fields import DEFAULT_PRIME, GF
 from symcanon.normalform import verify_normal_shape
 from symcanon.paramgen import realize, sample
@@ -147,6 +148,14 @@ def test_cli_exit_codes(tmp_path, golden_file, capsys):
     # wrong k2 is a contract error
     assert main(["generate", "--k2", "12"]) == 2
     capsys.readouterr()
+
+
+def test_large_primes_refused(golden_file, capsys):
+    # int64 elimination would square residues past 2^63 and report wrong ranks
+    with pytest.raises(ContractError, match="too large"):
+        GF(4294967311)
+    assert main(["verify", golden_file, "--field", "p:4294967311"]) == 2
+    assert "too large" in capsys.readouterr().err
 
 
 def test_cli_fitting_and_invariants(tmp_path, golden_file, capsys):

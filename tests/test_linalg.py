@@ -79,6 +79,14 @@ def test_bareiss_matches_modp_rank():
     assert r_q == len(pivots)
 
 
+def test_rank_at_largest_admitted_prime():
+    field = GF(3037000493)  # the largest prime with (p-1)^2 < 2^63
+    rng = DetRng(3)
+    u = [rng.nonzero_scalar(field) for _ in range(4)]
+    v = [rng.nonzero_scalar(field) for _ in range(4)]
+    assert linalg.rank([[field.mul(a, b) for b in v] for a in u], field) == 1
+
+
 def test_empty_shapes():
     assert linalg.rank([], QQ) == 0
     assert linalg.nullspace([], QQ, ncols=3) == linalg.identity(3, QQ)

@@ -19,6 +19,7 @@ from symcanon.tableau import (
     degeneracy_scheme,
     erase_first_row,
     fitting_ideal,
+    move_word_matrix,
     rows_move,
     symplectic_defect,
 )
@@ -112,6 +113,17 @@ def test_rows_move_contract(golden_tableau):
     ]
     with pytest.raises(ContractError, match="diag"):
         apply_op(golden_tableau, rows_move(g))
+    singular = [
+        [field.one(), field.zero(), field.zero()],
+        [field.zero(), field.one(), field.one()],
+        [field.zero(), field.one(), field.one()],
+    ]
+    with pytest.raises(ContractError, match="invertible"):
+        apply_op(golden_tableau, rows_move(singular))
+    # each g of a word is checked, not only their product (here the identity)
+    g_inv = linalg.inverse(g, field)
+    with pytest.raises(ContractError, match="diag"):
+        apply_op_word(golden_tableau, [rows_move(g), rows_move(g_inv)])
 
 
 def test_apply_symplectic_identity_and_j(golden_tableau):
@@ -282,3 +294,105 @@ def test_tableau_reader_rejects_general_shifts(golden_tableau):
     data["shifts"] = [[0, 1, 2]]
     with pytest.raises(ContractError, match="degree layout"):
         tableau_from_json(data)
+
+
+# -- the move engine on all three tableau classes -----------------------------------
+
+
+def _pair(field, seed=3):
+    from symcanon.basechange import SquareSymmetricPair
+    from conftest import random_linear
+
+    ring = PolyRing(field=field)
+    rng = DetRng(seed)
+    diag = lambda: [
+        [random_linear(ring, rng) if i == j else ring.zero() for j in range(2)] for i in range(2)
+    ]
+    return SquareSymmetricPair(ring, diag(), diag())
+
+
+def _scalar(field, seed=4):
+    ring = PolyRing(field=field)
+    rng = DetRng(seed)
+    a = [[rng.scalar(field) for _ in range(3)] for _ in range(2)]
+    return ScalarTableau(ring, a, [[field.zero()] * 3 for _ in range(2)])
+
+
+def _graded_g(rng, field):
+    """A random invertible diag(1, phi) with phi 2 x 2."""
+    while True:
+        phi = [[rng.scalar(field) for _ in range(2)] for _ in range(2)]
+        if linalg.det(phi, field) != field.zero():
+            zero = field.zero()
+            return [[field.one(), zero, zero], [zero] + phi[0], [zero] + phi[1]]
+
+
+def _invertible_g(rng, field):
+    while True:
+        g = [[rng.scalar(field) for _ in range(2)] for _ in range(2)]
+        if linalg.det(g, field) != field.zero():
+            return g
+
+
+def _engine_cases(golden):
+    field = golden.ring.field
+    return [
+        ("graded", golden, _graded_g),
+        ("pair", _pair(field), None),
+        ("scalar", _scalar(field), _invertible_g),
+    ]
+
+
+def test_move_validation_all_classes(golden_tableau):
+    field = golden_tableau.ring.field
+    lam = field.of_int(2)
+    for name, T, _ in _engine_cases(golden_tableau):
+        w = T.width
+        bad = [
+            OpMove("rotate", None, -1),
+            OpMove("rotate", None, w + 2),
+            OpMove("add_col_same", lam, w),
+            OpMove("add_col_pair", lam, 0, -1),
+            OpMove("transfer", lam, 1, 1),
+            OpMove("swap", None, 0, w),
+            OpMove("add_col_same", None, 0),
+        ]
+        for mv in bad:
+            with pytest.raises(ContractError):
+                apply_op(T, mv)
+            with pytest.raises(ContractError):
+                column_move_matrix(mv, w, T.ring)
+        with pytest.raises(ContractError):
+            column_move_matrix(rows_move(linalg.identity(w, field)), w, T.ring)
+    pair = _pair(field)
+    with pytest.raises(ContractError, match="square pair"):
+        apply_op(pair, rows_move(linalg.identity(2, field)))
+    with pytest.raises(ContractError, match="square pair"):
+        pair.apply_word([OpMove("rotate", None, 0), rows_move(linalg.identity(2, field))])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_word_engine_matches_move_by_move(golden_tableau, seed):
+    field = golden_tableau.ring.field
+    for name, T, row_g in _engine_cases(golden_tableau):
+        rng = DetRng(900 + seed)
+        w = T.width
+        columns = [
+            OpMove("add_col_same", rng.nonzero_scalar(field), 0),
+            OpMove("add_col_pair", rng.nonzero_scalar(field), 0, w - 1),
+            OpMove("transfer", rng.nonzero_scalar(field), w - 1, 0),
+            OpMove("swap", None, 0, w - 1),
+            OpMove("rotate", None, w - 1),
+        ] + random_move_word(rng, 7, w, field)
+        word = list(columns)
+        if row_g is not None:
+            for pos in (0, 4, 9, len(word)):
+                word.insert(pos, rows_move(row_g(rng, field)))
+        folded = T
+        for mv in word:
+            folded = apply_op(folded, mv)
+        assert apply_op_word(T, word) == folded, name
+        by_matrix = apply_symplectic(T, move_word_matrix(columns, w, T.ring))
+        assert apply_op_word(T, columns) == by_matrix, name
+        rows_only = [mv for mv in word if mv.kind == "rows"]
+        assert apply_op_word(by_matrix, rows_only) == folded, name
