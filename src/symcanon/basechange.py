@@ -296,10 +296,9 @@ def make_koszul_type(
 
     # -- phase 2: det(beta) regular mod (det alpha), alpha kept fixed --------
     trials = 0
-    while True:
-        det_beta = _det_block(current.beta, current.ring)
-        if not det_beta.is_zero() and is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]), config=config):
-            break
+    det_beta = _det_block(current.beta, current.ring)
+    passed = not det_beta.is_zero() and is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]), config=config)
+    while not passed:
         if trials >= trial_budget:
             raise BudgetExceededError(
                 "phase 2 quotient test failed within budget; last state "
@@ -314,21 +313,21 @@ def make_koszul_type(
         cand_det_beta = _det_block(candidate.beta, candidate.ring)
         if cand_det_beta.is_zero():
             continue
-        if is_nzd_mod(cand_det_beta, Ideal(candidate.ring, [det_alpha]), config=config):
-            current = candidate
-            moves.extend(word)
-            break
-        # keep the perturbation anyway: the walk must leave the bad locus
+        # keep the perturbation even when the test fails: the walk must
+        # leave the bad locus
         current = candidate
         moves.extend(word)
+        det_beta = cand_det_beta
+        passed = is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]), config=config)
 
-    det_beta = _det_block(current.beta, current.ring)
+    # the quotient test that ended the loop is the certificate's witness;
+    # reverify recomputes it from the original input
     cert = BaseChangeCert(
         moves=moves,
         det_alpha=det_alpha,
         det_beta=det_beta,
         det_alpha_nonzero=not det_alpha.is_zero(),
-        quotient_equal=is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]), config=config),
+        quotient_equal=passed,
         result=current,
     )
     if not cert.verified:

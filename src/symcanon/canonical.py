@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError
-from .fields import DetRng, GF, Scalar
+from .fields import DetRng, GF
 from .ideals import (
     DEFAULT_GB_CONFIG,
     GBConfig,
@@ -31,10 +31,9 @@ from .ideals import (
     codimension,
     dimension,
     ideal_equal,
-    normal_form_poly,
     saturate,
 )
-from .poly import Polynomial, PolyRing, graded_basis
+from .poly import Polynomial, PolyRing, graded_basis, graded_piece
 from .tableau import (
     DegeneracyScheme,
     PolyMatrix,
@@ -155,29 +154,11 @@ def cokernel_graded_dim(T: SymmetricTableau, m: int) -> int:
     dim_f0 = _binom_cut(m + v, v) + n * _binom_cut(m - 2 + v, v)
     if m < 3:
         return dim_f0
-    shifts_f0 = (0,) + (2,) * n
-    bases = {}
-    offsets = []
-    off = 0
-    for a in shifts_f0:
-        d = m - a
-        bases[a] = graded_basis(ring, d) if d >= 0 else []
-        offsets.append(off)
-        off += len(bases[a])
-    columns = []
     full = T.full_matrix()
-    mults = graded_basis(ring, m - 3)
-    field = ring.field
-    for j in range(2 * n + 2):
-        for mono in mults:
-            vec = [field.zero()] * off
-            for i, a in enumerate(shifts_f0):
-                entry = full[i][j] * ring.monomial(mono)
-                pos = {mm: k for k, mm in enumerate(bases[a])}
-                for mm, cc in entry.terms.items():
-                    vec[offsets[i] + pos[mm]] = cc
-            columns.append(vec)
-    return dim_f0 - linalg.rank(columns, field)
+    columns = np.hstack(
+        [graded_piece(full[i], m - a, ring, m - 3) for i, a in enumerate((0,) + (2,) * n)]
+    )
+    return dim_f0 - linalg.rank(columns, ring.field)
 
 
 # -- acyclicity -----------------------------------------------------------------
@@ -341,40 +322,21 @@ def conductor_ideal(
 # -- multiplication table --------------------------------------------------------
 
 
-def _graded_ideal_span(gens: Sequence[Polynomial], d: int, ring: PolyRing) -> List[List[Scalar]]:
-    """Row vectors spanning the degree-d piece of the homogeneous ideal."""
-    basis = graded_basis(ring, d)
-    pos = {m: i for i, m in enumerate(basis)}
-    field = ring.field
-    rows = []
-    for g in gens:
-        gd = g.homogeneous_degree()
-        if gd is None or gd > d:
-            continue
-        for mono in graded_basis(ring, d - gd):
-            prod = g * ring.monomial(mono)
-            row = [field.zero()] * len(basis)
-            for m, c in prod.terms.items():
-                row[pos[m]] = c
-            rows.append(row)
-    return rows
-
-
-def graded_membership(f: Polynomial, gens: Sequence[Polynomial], ring: PolyRing) -> bool:
-    """Exact degree-piece membership of homogeneous f in the ideal (gens)."""
+def graded_membership(
+    f: Polynomial, gens: Sequence[Polynomial], ring: PolyRing, pieces: Optional[Dict[int, linalg.Echelon]] = None
+) -> bool:
+    """Exact degree-piece membership of homogeneous f in the ideal (gens),
+    by reduction against the reduced echelon of the ideal's piece in deg f.
+    ``pieces`` keeps those echelons by degree for one generator list."""
     if f.is_zero():
         return True
     d = f.homogeneous_degree()
     if d is None:
         raise ContractError("graded membership requires homogeneous input")
-    span = _graded_ideal_span(gens, d, ring)
-    basis = graded_basis(ring, d)
-    pos = {m: i for i, m in enumerate(basis)}
-    field = ring.field
-    vec = [field.zero()] * len(basis)
-    for m, c in f.terms.items():
-        vec[pos[m]] = c
-    return linalg.solve_particular(linalg.transpose(span), vec, field) is not None
+    pieces = {} if pieces is None else pieces
+    if d not in pieces:
+        pieces[d] = linalg.Echelon(graded_piece(gens, d, ring), ring.field)
+    return pieces[d].contains(graded_piece([f], d, ring, 0)[0])
 
 
 @dataclass
@@ -384,6 +346,8 @@ class MultiplicationTable:
     The generators are represented by Cramer fractions v_k = N_k / D with D
     the determinant of the chosen invertible submatrix of A'; index 0 means
     the unit.  ``entries[(i, j)]`` holds (c0, [c_1..c_n]) for i <= j.
+    ``pieces`` holds the reduced echelons of I_{n+1}(A) by degree that
+    memberships reduce against, starting with degree 2n + 4.
     """
 
     n: int
@@ -392,6 +356,7 @@ class MultiplicationTable:
     numerators: List[Polynomial]  # N_0 = D, N_1..N_n
     entries: Dict[Tuple[int, int], Tuple[Polynomial, List[Polynomial]]]
     surface_ideal: Ideal
+    pieces: Dict[int, linalg.Echelon]
 
     def expansion(self, i: int, j: int) -> Tuple[Polynomial, List[Polynomial]]:
         return self.entries[(min(i, j), max(i, j))]
@@ -420,17 +385,17 @@ def _adjugate(M: PolyMatrix, ring: PolyRing) -> PolyMatrix:
 def multiplication_table(
     T: SymmetricTableau,
     columns: Optional[Tuple[int, ...]] = None,
-    config: GBConfig = DEFAULT_GB_CONFIG,
-    verify_with_groebner: bool = False,
 ) -> MultiplicationTable:
     """Cramer multiplication table of coker(A) over the module basis
     {1, v_1..v_n}.
 
     The submatrix columns are the lexicographically first n columns whose
-    lower square M' has det(M') outside I_{n+1}(A) (decided through
-    normal_form_poly); products clear det(M')^2 and the coefficient solve
-    runs in the fixed graded piece.  Every returned identity is re-verified
-    exactly modulo I_{n+1}(A).
+    lower square M' has det(M') outside I_{n+1}(A), decided by graded
+    membership; products clear det(M')^2.  Every product lives in the
+    degree-(2n+4) piece of I_{n+1}(A): its rows are built once, one
+    elimination of [system | all right-hand sides] solves every product,
+    and the reduced echelon of the piece, kept on the table, re-verifies
+    every identity exactly and answers later memberships.
     """
     ring = T.ring
     field = ring.field
@@ -443,9 +408,7 @@ def multiplication_table(
     for cols in candidates:
         mprime = [[full[i][c] for c in cols] for i in range(1, n + 1)]
         d = matrix_minor(mprime, tuple(range(n)), tuple(range(n)), ring)
-        if d.is_zero():
-            continue
-        if not normal_form_poly(d, surrogate).is_zero():
+        if not d.is_zero() and not graded_membership(d, surrogate.generators, ring):
             chosen = (tuple(cols), mprime, d)
             break
     if chosen is None:
@@ -461,75 +424,37 @@ def multiplication_table(
             s = s + m_row[i] * adj[i][k]
         numerators.append(-s)
 
+    # unknowns: c0 (degree 4) against D^2, c_k (degree 2) against N_k D, then
+    # the multipliers of the ideal's rows
     deg_total = 2 * n + 4
+    span = graded_piece(surrogate.generators, deg_total, ring)
+    c0_rows = graded_piece([D * D], deg_total, ring, 4)
+    ck_rows = graded_piece([N * D for N in numerators[1:]], deg_total, ring, 2)
+    system = np.vstack([c0_rows, ck_rows, span]).T
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    products = [numerators[i] * numerators[j] for i, j in pairs]
+    sols, bad = linalg.solve_columns(system, graded_piece(products, deg_total, ring, 0), field)
+    if bad is not None:
+        i, j = pairs[bad]
+        raise ContractError(f"v_{i} v_{j} not in module span mod I_{{n+1}}(A): ring condition fails in disguise")
+
+    entries = {(0, 0): (ring.one(), [ring.zero()] * n)}
+    for j in range(1, n + 1):
+        entries[(0, j)] = (ring.zero(), [ring.one() if k == j else ring.zero() for k in range(1, n + 1)])
     basis4 = graded_basis(ring, 4)
     basis2 = graded_basis(ring, 2)
-    target = graded_basis(ring, deg_total)
-    pos = {m: i for i, m in enumerate(target)}
+    offsets = range(len(basis4), len(basis4) + n * len(basis2), len(basis2))
+    for key, sol in zip(pairs, sols):
+        cs = [ring.from_terms(dict(zip(basis2, sol[o:]))) for o in offsets]
+        entries[key] = (ring.from_terms(dict(zip(basis4, sol))), cs)
 
-    def vec_of(f: Polynomial) -> List[Scalar]:
-        v = [field.zero()] * len(target)
-        for m, c in f.terms.items():
-            v[pos[m]] = c
-        return v
-
-    D2 = D * D
-    columns_mat: List[List[Scalar]] = []
-    for mono in basis4:
-        columns_mat.append(vec_of(ring.monomial(mono) * D2))
-    for k in range(1, n + 1):
-        NkD = numerators[k] * D
-        for mono in basis2:
-            columns_mat.append(vec_of(ring.monomial(mono) * NkD))
-    span = _graded_ideal_span(surrogate.generators, deg_total, ring)
-    n_unknowns = len(basis4) + n * len(basis2)
-    system = linalg.transpose(columns_mat + span)
-
-    entries: Dict[Tuple[int, int], Tuple[Polynomial, List[Polynomial]]] = {}
-    for i in range(0, n + 1):
-        for j in range(i, n + 1):
-            if i == 0:
-                c0 = ring.zero()
-                cs = [ring.one() if k == j else ring.zero() for k in range(1, n + 1)]
-                if j == 0:
-                    c0, cs = ring.one(), [ring.zero()] * n
-                entries[(i, j)] = (c0, cs)
-                continue
-            rhs = vec_of(numerators[i] * numerators[j])
-            sol = linalg.solve_particular(system, rhs, field)
-            if sol is None:
-                raise ContractError(
-                    f"v_{i} v_{j} not in module span mod I_{{n+1}}(A): ring condition fails in disguise"
-                )
-            c0 = ring.from_terms(
-                {m: sol[t] for t, m in enumerate(basis4) if not field.is_zero(sol[t])}
-            )
-            cs = []
-            off = len(basis4)
-            for k in range(n):
-                terms = {}
-                for t, m in enumerate(basis2):
-                    c = sol[off + t]
-                    if not field.is_zero(c):
-                        terms[m] = c
-                cs.append(ring.from_terms(terms))
-                off += len(basis2)
-            entries[(i, j)] = (c0, cs)
-
-    table = MultiplicationTable(n, cols, D, numerators, entries, surrogate)
+    pieces = {deg_total: linalg.Echelon(span, field)}
+    table = MultiplicationTable(n, cols, D, numerators, entries, surrogate, pieces)
 
     # exact re-verification of every identity modulo I_{n+1}(A)
     for (i, j), (c0, cs) in entries.items():
-        lhs = numerators[i] * numerators[j]
-        rhs = c0 * D2
-        for k in range(n):
-            rhs = rhs + cs[k] * numerators[k + 1] * D
-        residue = lhs - rhs
-        if verify_with_groebner:
-            ok = normal_form_poly(residue, surrogate).is_zero()
-        else:
-            ok = graded_membership(residue, surrogate.generators, ring)
-        if not ok:
+        residue = numerators[i] * numerators[j] - table.combination_residue(c0, cs) * D
+        if not graded_membership(residue, surrogate.generators, ring, pieces):
             raise ContractError(f"multiplication identity for ({i},{j}) fails mod I_{{n+1}}(A)")
     return table
 
@@ -537,7 +462,8 @@ def multiplication_table(
 def is_zero_in_cokernel(table: MultiplicationTable, c0: Polynomial, cs: Sequence[Polynomial]) -> bool:
     """Whether c0 + sum c_k v_k represents 0, by cleared-denominator residue."""
     residue = table.combination_residue(c0, cs)
-    return graded_membership(residue, table.surface_ideal.generators, table.surface_ideal.ring)
+    ideal = table.surface_ideal
+    return graded_membership(residue, ideal.generators, ideal.ring, table.pieces)
 
 
 def associativity_check(table: MultiplicationTable, i: int, j: int, k: int) -> bool:
@@ -609,16 +535,6 @@ class ReflexivityReport:
         return self.composite_zero and self.kernel_dims == self.image_dims
 
 
-def _piece_matrix_np(polys: List[Polynomial], d: int, ring: PolyRing, p: int) -> np.ndarray:
-    basis = graded_basis(ring, d)
-    pos = {m: i for i, m in enumerate(basis)}
-    out = np.zeros((len(polys), len(basis)), dtype=np.int64)
-    for r, f in enumerate(polys):
-        for m, c in f.terms.items():
-            out[r, pos[m]] = c % p
-    return out
-
-
 def graded_middle_exactness(
     phi: PolyMatrix,
     psi: PolyMatrix,
@@ -647,27 +563,12 @@ def graded_middle_exactness(
                 composite_zero = False
 
     def ideal_piece(d: int) -> np.ndarray:
-        rows = []
-        for g in relations:
-            gd = g.homogeneous_degree()
-            if gd is None or gd > d:
-                continue
-            for mono in graded_basis(ring, d - gd):
-                rows.append(g * ring.monomial(mono))
-        if not rows:
-            return np.zeros((0, len(graded_basis(ring, d))), dtype=np.int64)
-        return _piece_matrix_np(rows, d, ring, p)
+        return graded_piece(relations, d, ring)
 
     def map_rows(mat: PolyMatrix, d: int, ncomp_src: int, ncomp_tgt: int) -> np.ndarray:
-        src_basis = graded_basis(ring, d)
-        tgt_dim = len(graded_basis(ring, d + entry_degree))
-        rows = []
-        for comp in range(ncomp_src):
-            for mono in src_basis:
-                images = [mat[t][comp] * ring.monomial(mono) for t in range(ncomp_tgt)]
-                block = _piece_matrix_np(images, d + entry_degree, ring, p)
-                rows.append(block.reshape(-1))
-        return np.array(rows, dtype=np.int64) if rows else np.zeros((0, ncomp_tgt * tgt_dim), dtype=np.int64)
+        # one row per (source component, monomial), blocks by target component
+        entries = [[mat[t][comp] for comp in range(ncomp_src)] for t in range(ncomp_tgt)]
+        return np.hstack([graded_piece(row, d + entry_degree, ring, d) for row in entries])
 
     def block_diag_piece(d: int, ncomp: int) -> np.ndarray:
         piece = ideal_piece(d)

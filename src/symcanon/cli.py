@@ -165,9 +165,9 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_multiply(args) -> int:
-    cfg = resolve_config(args)
+    resolve_config(args)  # validates the configuration; the table uses none of it
     T = serialize.tableau_from_json(_read_json(args.input))
-    table = multiplication_table(T, config=cfg.gb_config())
+    table = multiplication_table(T)
     out = {
         "columns": list(table.columns),
         "denominator": poly_to_string(table.denominator),

@@ -58,7 +58,7 @@ def _np_rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
 
 def rref(rows: Matrix, field: FieldSpec) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form plus pivot column indices."""
-    if not rows or not rows[0]:
+    if len(rows) == 0 or len(rows[0]) == 0:
         return [list(r) for r in rows], []
     if _is_modp(field):
         a, pivots = _np_rref(_np(rows, field.p), field.p)
@@ -76,17 +76,19 @@ def rref(rows: Matrix, field: FieldSpec) -> Tuple[Matrix, List[int]]:
         a[r], a[pivot] = a[pivot], a[r]
         inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
+        support = [(j, y) for j, y in enumerate(a[r]) if y]
         for i in range(m):
             if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                row, f = a[i], a[i][c]
+                for j, y in support:
+                    row[j] -= f * y
         pivots.append(c)
         r += 1
     return a, pivots
 
 
 def rank(rows: Matrix, field: FieldSpec) -> int:
-    if not rows or not rows[0]:
+    if len(rows) == 0 or len(rows[0]) == 0:
         return 0
     if _is_modp(field):
         return len(_np_rref(_np(rows, field.p), field.p)[1])
@@ -150,22 +152,68 @@ def nullspace(rows: Matrix, field: FieldSpec, ncols: Optional[int] = None) -> Li
     return basis
 
 
+def _echelon(rows, field: FieldSpec):
+    """rref of a non-empty matrix; over GF(p) it stays an int64 array."""
+    if _is_modp(field):
+        return _np_rref(_np(rows, field.p), field.p)
+    return rref(rows, field)
+
+
+def solve_columns(
+    rows: Matrix, rhss: Sequence[Sequence[Scalar]], field: FieldSpec
+) -> Tuple[List[List[Scalar]], Optional[int]]:
+    """Solutions of A x = b, free variables set to zero, for every b in
+    ``rhss`` from one elimination of [A | b_1 .. b_k] (A has a row).
+
+    The pivots among A's columns do not depend on the appended columns, so
+    each solution is the one an elimination of [A | b] alone gives.  The
+    first pivot past A's columns marks the first inconsistent b; its index
+    is returned second, and the solutions stop before it (None: all solve).
+    """
+    n = len(rows[0])
+    dtype = np.int64 if _is_modp(field) else object
+    rhs = np.asarray(rhss, dtype=dtype).reshape(len(rhss), -1).T
+    red, pivots = _echelon(np.hstack([np.asarray(rows, dtype=dtype), rhs]), field)
+    scalar = int if _is_modp(field) else Fraction
+    rank = sum(1 for c in pivots if c < n)
+    bad = pivots[rank] - n if rank < len(pivots) else None
+    sols = []
+    for k in range(len(rhss) if bad is None else bad):
+        x = [field.zero()] * n
+        for r in range(rank):
+            x[pivots[r]] = scalar(red[r][n + k])
+        sols.append(x)
+    return sols, bad
+
+
 def solve_particular(rows: Matrix, rhs: Sequence[Scalar], field: FieldSpec) -> Optional[List[Scalar]]:
     """One solution of A x = b with free variables set to zero, or None."""
     if not rows:
         return None if any(not field.is_zero(b) for b in rhs) else []
-    n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
-    for r in range(len(red)):
-        if all(field.is_zero(red[r][c]) for c in range(n)) and not field.is_zero(red[r][n]):
-            return None
-    x = [field.zero()] * n
-    for r, pc in enumerate(pivots):
-        if pc == n:
-            return None
-        x[pc] = red[r][n]
-    return x
+    sols, bad = solve_columns(rows, [rhs], field)
+    return None if bad is not None else sols[0]
+
+
+class Echelon:
+    """Reduced row echelon form of a row space, kept for membership tests."""
+
+    def __init__(self, rows: Matrix, field: FieldSpec):
+        self.p = field.characteristic
+        self.dtype = np.int64 if _is_modp(field) else object
+        red, self.pivots = _echelon(rows, field) if len(rows) else ([], [])
+        self.rows = np.asarray(red, dtype=self.dtype)
+
+    def contains(self, vec: Sequence[Scalar]) -> bool:
+        """Whether vec lies in the row space: subtracting vec[c] times the
+        row of each pivot c leaves zero exactly for members.  Over GF(p) each
+        multiply-add is reduced mod p, so no entry reaches (p-1)^2 + p."""
+        v = np.array(vec, dtype=self.dtype)
+        for row, c in zip(self.rows, self.pivots):
+            if v[c]:
+                v = v - v[c] * row
+                if self.p:
+                    v %= self.p
+        return not v.any()
 
 
 def det(rows: Matrix, field: FieldSpec) -> Scalar:

@@ -10,6 +10,8 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import ContractError, DegreeOverflowError, ParseError, RingMismatchError
 from .fields import FieldSpec, Scalar
 from .orders import GREVLEX, Monomial, MonomialOrder
@@ -517,3 +519,52 @@ def coeff_matrix(
             row[col[m]] = c
         rows.append(row)
     return rows, basis
+
+
+def graded_piece(
+    gens: Sequence[Polynomial], d: int, ring: PolyRing, mult_degree: Optional[int] = None
+) -> np.ndarray:
+    """Rows g * x^m over the columns graded_basis(ring, d), generator-major,
+    the monomials x^m in graded_basis order.
+
+    By default x^m runs over degree d - deg g, so the rows span the degree-d
+    piece of the ideal (gens); zero, inhomogeneous and too high generators
+    give no rows.  With ``mult_degree`` every x^m has that degree and a zero
+    g gives zero rows, so the entries of a module map keep their places.
+    Products add packed exponents (base d + 1) straight into the row; no
+    polynomial is multiplied.  Entries are int64 residues over GF(p) and
+    field scalars in an object array over Q.
+    """
+    basis = graded_basis(ring, d)
+    if (d + 1) ** ring.nvars >= 1 << 63:
+        raise ContractError(f"degree {d} too high to pack {ring.nvars} exponents in int64")
+    pack = np.array([(d + 1) ** i for i in range(ring.nvars)], dtype=np.int64)
+
+    def keys(monos) -> np.ndarray:
+        return np.array(monos, dtype=np.int64).reshape(-1, ring.nvars) @ pack
+
+    col_keys = keys(basis)
+    order = np.argsort(col_keys)
+    sorted_keys = col_keys[order]
+    dtype = np.int64 if ring.field.kind == "prime_field" else object
+    mult_keys: Dict[int, np.ndarray] = {}
+    blocks = [np.zeros((0, len(basis)), dtype=dtype)]
+    for g in gens:
+        gd = g.homogeneous_degree()
+        if mult_degree is None:
+            if gd is None or gd > d:
+                continue
+            k = d - gd
+        elif g.terms and gd != d - mult_degree:
+            raise ContractError(f"entry not homogeneous of degree {d - mult_degree}: {g}")
+        else:
+            k = mult_degree
+        if k not in mult_keys:
+            mult_keys[k] = keys(graded_basis(ring, k))
+        mults = mult_keys[k]
+        block = np.zeros((len(mults), len(basis)), dtype=dtype)
+        if g.terms:
+            cols = order[np.searchsorted(sorted_keys, mults[:, None] + keys(list(g.terms))[None, :])]
+            block[np.arange(len(mults))[:, None], cols] = np.array(list(g.terms.values()), dtype=dtype)
+        blocks.append(block)
+    return np.vstack(blocks)

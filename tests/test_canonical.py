@@ -31,7 +31,8 @@ from symcanon.ideals import (
     saturate,
 )
 from symcanon.koszul import RegularSequence, koszul_differential
-from symcanon.poly import PolyRing, parse_poly
+from symcanon import linalg
+from symcanon.poly import PolyRing, coeff_matrix, graded_basis, parse_poly
 from symcanon.tableau import SymmetricTableau, degeneracy_scheme, fitting_ideal
 
 from conftest import k2_10_fixture, random_linear
@@ -204,7 +205,7 @@ def test_multiplication_table_choice_independence(golden_tableau):
 def test_multiplication_table_groebner_cross_check(golden_tableau):
     # one identity re-verified through the Groebner route instead of the
     # graded span
-    table = multiplication_table(golden_tableau, verify_with_groebner=False)
+    table = multiplication_table(golden_tableau)
     (c0, cs) = table.expansion(1, 1)
     D = table.denominator
     lhs = table.numerators[1] * table.numerators[1]
@@ -213,6 +214,46 @@ def test_multiplication_table_groebner_cross_check(golden_tableau):
         rhs = rhs + c * table.numerators[k + 1] * D
     residue = lhs - rhs
     assert normal_form_poly(residue, table.surface_ideal).is_zero()
+
+
+def _span_solve_membership(f, gens, ring):
+    """The earlier membership route, kept as the oracle: solve for f over
+    the products g * x^m, formed by polynomial multiplication."""
+    d = f.homogeneous_degree()
+    products = [
+        g * ring.monomial(m)
+        for g in gens
+        if not g.is_zero() and g.degree() <= d
+        for m in graded_basis(ring, d - g.degree())
+    ]
+    span, _ = coeff_matrix(products, d, ring)
+    vec = coeff_matrix([f], d, ring)[0][0]
+    return linalg.solve_particular(linalg.transpose(span), vec, ring.field) is not None
+
+
+@pytest.mark.parametrize("case", ["golden", "k2_10_q", "k2_10_largest_prime"])
+def test_echelon_membership_matches_span_solve(case, request):
+    if case == "golden":
+        T = request.getfixturevalue("golden_tableau")
+    else:
+        T = k2_10_fixture(QQ if case == "k2_10_q" else GF(3037000493))
+    table = multiplication_table(T)
+    ring, gens = T.ring, table.surface_ideal.generators
+    D, N = table.denominator, table.numerators
+    residues = [
+        N[i] * N[j] - table.combination_residue(*table.entries[(i, j)]) * D
+        for (i, j) in table.entries
+        if i > 0
+    ]
+    assert residues and all(not r.is_zero() for r in residues)
+    x0_top = ring.variable(0) ** (2 * table.n + 4)
+    for r in residues:
+        assert graded_membership(r, gens, ring, table.pieces)
+        assert _span_solve_membership(r, gens, ring)
+        outside = r + x0_top
+        assert not graded_membership(outside, gens, ring, table.pieces)
+        assert not _span_solve_membership(outside, gens, ring)
+    assert list(table.pieces) == [2 * table.n + 4]
 
 
 def test_reflexivity_composite_and_exactness():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -172,6 +173,10 @@ def test_cli_multiply(tmp_path, golden_file):
     assert main(["multiply", golden_file, "-o", str(out)]) == 0
     table = json.loads(out.read_text())
     assert "1,1" in table["entries"] and "1,2" in table["entries"]
+    # golden seed 0, byte for byte: the multiply/gf-0 digest of the benchmark
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "03c99c3f22a75aba294d75c3615f7e0797225faa22b6bda9ea377b9913841904"
+    )
 
 
 def test_cli_koszul_type(tmp_path, golden_file):

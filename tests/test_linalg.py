@@ -52,6 +52,24 @@ def test_solve_inconsistent():
 
 
 @pytest.mark.parametrize("field", FIELDS)
+def test_solve_columns_matches_separate_solves(field):
+    rng = DetRng(7)
+    # a rank-3 system in 5 unknowns: free variables are set to zero
+    a = linalg.matmul(random_matrix(rng, 6, 3, field), random_matrix(rng, 3, 5, field), field)
+    good = [linalg.matvec(a, [rng.scalar(field) for _ in range(5)], field) for _ in range(3)]
+    bad = next(
+        b
+        for b in (random_matrix(rng, 1, 6, field)[0] for _ in range(20))
+        if linalg.solve_particular(a, b, field) is None
+    )
+    sols, k = linalg.solve_columns(a, good, field)
+    assert k is None and sols == [linalg.solve_particular(a, b, field) for b in good]
+    sols, k = linalg.solve_columns(a, good[:2] + [bad] + good[2:], field)
+    assert k == 2 and sols == [linalg.solve_particular(a, b, field) for b in good[:2]]
+    assert all(type(x) is type(field.zero()) for x in sols[0])
+
+
+@pytest.mark.parametrize("field", FIELDS)
 def test_det_and_inverse(field):
     rng = DetRng(4)
     while True:

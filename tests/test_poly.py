@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 from symcanon.errors import ContractError, DegreeOverflowError, ParseError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, GF, QQ
 from symcanon.linalg import rank
-from symcanon.poly import PolyRing, Polynomial, coeff_matrix, graded_basis, parse_poly, poly_to_string
+from symcanon.poly import (
+    PolyRing,
+    Polynomial,
+    coeff_matrix,
+    graded_basis,
+    graded_piece,
+    parse_poly,
+    poly_to_string,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +118,24 @@ def test_coeff_matrix_rank_permutation_invariant(R):
     rows1, _ = coeff_matrix(polys, 2)
     rows2, _ = coeff_matrix(list(reversed(polys)), 2)
     assert rank(rows1, QQ) == rank(rows2, QQ)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)])
+def test_graded_piece_matches_polynomial_products(field):
+    ring = PolyRing(field=field)
+    gens = [P(t, ring) for t in ("x0^2 - 3*x1*x4", "0", "x2^3 + 2*x0*x1*x3", "x0 + x1^2", "x3^5")]
+    rows = graded_piece(gens, 4, ring)
+    # zero, inhomogeneous and too high generators give no rows
+    products = [g * ring.monomial(m) for g in (gens[0], gens[2]) for m in graded_basis(ring, 4 - g.degree())]
+    assert rows.tolist() == coeff_matrix(products, 4, ring)[0]
+    # with a multiplier degree a zero entry keeps its (zero) rows
+    entries = [gens[0], gens[1], -gens[0]]
+    rows = graded_piece(entries, 3, ring, 1)
+    products = [g * ring.monomial(m) for g in entries for m in graded_basis(ring, 1)]
+    assert rows.shape == (15, 35)
+    assert rows.tolist() == coeff_matrix(products, 3, ring)[0]
+    with pytest.raises(ContractError):
+        graded_piece([gens[2]], 3, ring, 1)
 
 
 # -- randomized algebra laws -------------------------------------------------
