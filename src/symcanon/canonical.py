@@ -281,7 +281,8 @@ def ring_condition_check(
 
     Skipped (with the reason) unless the degeneracy scheme is a finite set
     of reduced points, the hypothesis under which the saturated equality
-    encodes the multiplicative structure.
+    encodes the multiplicative structure.  bar I_n(A') is the scheme's
+    ideal, saturated once by ``degeneracy_scheme``.
     """
     if scheme is None:
         scheme = degeneracy_scheme(T, config=config)
@@ -291,13 +292,11 @@ def ring_condition_check(
         return RingConditionReport("skipped", "degeneracy scheme not reduced", None, None, None, None)
     ring = T.ring
     n = T.n
-    aprime = erase_first_row(T)
-    I_aprime = fitting_ideal(aprime, n, ring)
     I_a = fitting_ideal(T.full_matrix(), n, ring)
-    sat_aprime = saturate(I_aprime, config=config)
+    sat_aprime = scheme.ideal
     sat_a = saturate(I_a, config=config)
     sat_eq = ideal_equal(sat_aprime, sat_a)
-    unsat_eq = ideal_equal(I_a, I_aprime) if n == 2 else None
+    unsat_eq = ideal_equal(I_a, fitting_ideal(erase_first_row(T), n, ring)) if n == 2 else None
     ok = sat_eq and (unsat_eq is not False)
     return RingConditionReport(
         "pass" if ok else "fail", None, sat_eq, unsat_eq, sat_aprime, sat_a

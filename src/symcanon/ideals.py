@@ -14,25 +14,27 @@ are cross-checked in the test suite.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import comb, gcd
+from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, univariate
-from .errors import BudgetExceededError, ContractError, RingMismatchError
+from .errors import BudgetExceededError, ContractError, DegreeOverflowError, RingMismatchError
 from .fields import DetRng, FieldSpec, Scalar
 from .orders import (
+    FIELD_BITS,
     GREVLEX,
     Monomial,
     MonomialOrder,
     elimination,
     grevlex_with_last,
-    monomial_div,
     monomial_divides,
-    monomial_lcm,
-    monomial_mul,
 )
-from .poly import Polynomial, PolyRing, graded_basis
+from .poly import EXPONENT_BOUND, Polynomial, PolyRing, graded_basis
 
 
 @dataclass
@@ -86,50 +88,159 @@ def irrelevant_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, ring.gens())
 
 
-# -- Buchberger ---------------------------------------------------------------
+# -- Buchberger on packed monomials ---------------------------------------------
+#
+# Inside the engine a monomial is one int X = K * 2^(16 n) + P: its order key
+# K (a linear functional, see MonomialOrder.weights) above its exponents P,
+# 16 bits per variable.  X is linear in the exponents too, so multiplying
+# monomials adds ints, and comparing X compares K.  x^a divides x^b iff
+# ((X_b | H) - X_a) & H == H, with H the top bit of every exponent field:
+# that holds while exponents stay below 2^15, and the subtraction never
+# borrows out of the exponent fields.  Packing refuses monomials of degree
+# 2^15 or more; every term met later has at most the degree of an input or
+# an S-pair lcm, because the input is homogeneous and its weight-0 variables
+# are compared first.  A term is (X, c).  A reducer is a monic polynomial
+# (X_lm, shifts, coeffs): its tail monomials relative to the leading one,
+# dX = X - X_lm, and their negated coefficients d, so reducing c * x^m by it
+# adds the terms (X_m + dX, c * d).
 
 
-def _normal_form_terms(
-    f: Polynomial,
-    basis: List[Tuple[Monomial, Polynomial]],
-    order: MonomialOrder,
-) -> Polynomial:
-    ring = f.ring
-    field = ring.field
-    work = dict(f.terms)
-    out: Dict[Monomial, Scalar] = {}
-    key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        hit = None
-        for lm, g in basis:
-            if monomial_divides(lm, m):
-                hit = (lm, g)
-                break
-        if hit is None:
-            out[m] = c
+class _Packing:
+    """Monomial packing for one ring under one order."""
+
+    __slots__ = ("order", "field", "weights", "shifts", "guard", "p")
+
+    def __init__(self, ring: PolyRing, order: MonomialOrder):
+        n = ring.nvars
+        self.order = order
+        self.field = ring.field
+        self.shifts = tuple(range(0, FIELD_BITS * n, FIELD_BITS))
+        self.weights = tuple(
+            (w << (FIELD_BITS * n)) + (1 << s) for w, s in zip(order.weights(n), self.shifts)
+        )
+        self.guard = sum(1 << (s + FIELD_BITS - 1) for s in self.shifts)
+        self.p = ring.field.characteristic
+
+    def monomial(self, exp: Monomial) -> int:
+        _check_packable(sum(exp))
+        return sum(map(mul, self.weights, exp))
+
+    def terms(self, f: Polynomial) -> list:
+        if f.terms:
+            _check_packable(max(map(sum, f.terms)))
+        w = self.weights
+        return [(sum(map(mul, w, m)), c) for m, c in f.terms.items()]
+
+    def leading(self, f: Polynomial) -> int:
+        w = self.weights
+        return max(sum(map(mul, w, m)) for m in f.terms)
+
+    def unpack(self, X: int) -> Monomial:
+        return tuple((X >> s) & _FIELD_MASK for s in self.shifts)
+
+    def polynomial(self, ring: PolyRing, terms) -> Polynomial:
+        return Polynomial(ring, {self.unpack(X): c for X, c in terms})
+
+    def reducers(self, I: Ideal, cap: int) -> list:
+        """I's reduced basis up to degree cap as reducers, ascending X_lm."""
+        gb = groebner_basis(I, self.order, cap=cap)
+        return sorted(_monic_reducer(self.terms(g), self.field) for g in gb)
+
+
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def _check_packable(degree: int) -> None:
+    if degree >= EXPONENT_BOUND:
+        raise DegreeOverflowError(f"monomial of degree {degree} exceeds the packing bound 2^15")
+
+
+def _monic_reducer(terms, field: FieldSpec):
+    X0, c0 = max(terms)
+    inv = field.inv(c0)
+    tail = [(X, c) for X, c in terms if X != X0]
+    return (
+        X0,
+        tuple(X - X0 for X, _ in tail),
+        tuple(field.neg(field.mul(c, inv)) for _, c in tail),
+    )
+
+
+def _reducer_terms(r, field: FieldSpec) -> list:
+    X0, shifts, coeffs = r
+    return [(X0, field.one())] + [(X0 + dX, field.neg(d)) for dX, d in zip(shifts, coeffs)]
+
+
+def _normal_form_terms(terms, reducers, p: int, guard: int) -> list:
+    """Remainder of the terms (X, c), repeated monomials allowed, on
+    division by ``reducers`` (ascending X_lm, the first divisor wins).
+
+    The work terms sit in a dict X -> c under a max-heap of monomials.  A
+    reduction step only creates terms below the one it removes, so each
+    monomial enters the heap once; one whose coefficient cancelled is
+    skipped when popped.  Over GF(p) coefficients are summed unreduced and
+    reduced when popped.  Over Q (p = 0) they are kept as integer pairs in
+    ``coef`` and ``den``, summed over the lcm of the denominators without
+    Fraction objects, and put in lowest terms when popped.  Returns the
+    remainder's terms in descending order, with field scalars as
+    coefficients.
+    """
+    coef: Dict[int, int] = {}
+    den: Dict[int, int] = {}
+    for X, c in terms:
+        if p:
+            coef[X] = coef.get(X, 0) + c
+        elif X in coef:
+            coef[X], den[X] = coef[X] * c.denominator + c.numerator * den[X], den[X] * c.denominator
+        else:
+            coef[X], den[X] = c.numerator, c.denominator
+    heap = [-X for X in coef]
+    heapify(heap)
+    out = []
+    while heap:
+        X = -heappop(heap)
+        a = coef.pop(X)
+        if p:
+            a %= p
+        else:
+            b = den.pop(X)
+            g = gcd(a, b)
+            a, b = a // g, b // g
+        if not a:
             continue
-        lm, g = hit
-        shift = monomial_div(m, lm)
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            t = monomial_mul(gm, shift)
-            s = field.sub(work.get(t, field.zero()), field.mul(c, gc))
-            if field.is_zero(s):
-                work.pop(t, None)
-            else:
-                work[t] = s
-    return Polynomial(ring, out)
-
-
-def _spoly(f: Polynomial, g: Polynomial, lmf: Monomial, lmg: Monomial, order) -> Polynomial:
-    ring = f.ring
-    lcm = monomial_lcm(lmf, lmg)
-    mf = ring.monomial(monomial_div(lcm, lmf))
-    mg = ring.monomial(monomial_div(lcm, lmg))
-    return mf * f - mg * g
+        XH = X | guard
+        for Xl, shifts, coeffs in reducers:
+            if Xl > X:  # a divisor of x^m is never larger than x^m
+                shifts = None
+                break
+            if (XH - Xl) & guard == guard:
+                break
+        else:
+            shifts = None
+        if shifts is None:
+            out.append((X, a if p else Fraction(a, b)))
+        elif p:
+            for dX, d in zip(shifts, coeffs):
+                t = X + dX
+                if t in coef:
+                    coef[t] += a * d
+                else:
+                    coef[t] = a * d
+                    heappush(heap, -t)
+        else:
+            for dX, d in zip(shifts, coeffs):
+                t = X + dX
+                n, e = d.numerator, d.denominator
+                if t in coef:  # over the lcm of the denominators
+                    f = den[t]
+                    g = gcd(f, b * e)
+                    coef[t] = coef[t] * (b * e // g) + a * n * (f // g)
+                    den[t] = f // g * b * e
+                else:
+                    coef[t] = a * n
+                    den[t] = b * e
+                    heappush(heap, -t)
+    return out
 
 
 def _buchberger(
@@ -139,96 +250,109 @@ def _buchberger(
     cap: Optional[int],
     config: GBConfig,
 ) -> List[Polynomial]:
-    from bisect import insort
+    field = ring.field
+    pk = _Packing(ring, order)
+    p, guard = pk.p, pk.guard
+    wd = ring.weighted_degree
 
-    basis: List[Polynomial] = []
+    basis: list = []  # reducers, in order of creation
     lms: List[Monomial] = []
-    reducers: List[Tuple[Monomial, Polynomial]] = []  # sorted by order key of lm
-
-    def add_element(h: Polynomial):
-        h = h.monic(order)
-        basis.append(h)
-        lm = h.leading_monomial(order)
-        lms.append(lm)
-        insort(reducers, (lm, h), key=lambda t: order.key(t[0]))
-        j = len(basis) - 1
-        for i in range(j):
-            pending.add((i, j))
-
+    reducers: list = []  # the same, ascending X_lm
     pending: set = set()
-    for g in sorted(gens, key=lambda p: (p.degree(), order.key(p.leading_monomial(order)))):
-        h = _normal_form_terms(g, reducers, order)
-        if not h.is_zero():
+    queue: list = []  # one entry per pair: (degree of the lcm, X of the lcm, i, j)
+
+    def add_element(terms):
+        r = _monic_reducer(terms, field)
+        lm = pk.unpack(r[0])
+        j = len(basis)
+        for i, lm_i in enumerate(lms):
+            lcm = tuple(map(max, lm_i, lm))
+            heappush(queue, (wd(lcm), pk.monomial(lcm), i, j))
+            pending.add((i, j))
+        basis.append(r)
+        lms.append(lm)
+        insort(reducers, r)
+
+    # generators by degree, then leading monomial; each is packed on its turn
+    inputs = []
+    for g in gens:
+        d = wd(next(iter(g.terms)))  # generators are homogeneous and nonzero
+        if cap is None or d <= cap:
+            inputs.append((d, pk.leading(g), g))
+    inputs.sort(key=itemgetter(0, 1))
+    for _, _, g in inputs:
+        h = _normal_form_terms(pk.terms(g), reducers, p, guard)
+        if h:
             add_element(h)
 
-    wd = ring.weighted_degree
     processed = 0
-    while pending:
-        best = min(
-            pending,
-            key=lambda ij: (wd(monomial_lcm(lms[ij[0]], lms[ij[1]])),
-                            order.key(monomial_lcm(lms[ij[0]], lms[ij[1]]))),
-        )
-        pending.discard(best)
-        i, j = best
-        lcm = monomial_lcm(lms[i], lms[j])
-        d = wd(lcm)
+    while queue:
+        d, L, i, j = heappop(queue)
+        pending.discard((i, j))
         if cap is not None and d > cap:
-            continue
+            break  # the queue is ordered by degree: every later pair is above cap too
         if d > config.degree_budget:
             raise BudgetExceededError(
-                f"Groebner degree budget {config.degree_budget} exceeded (pair degree {d})"
+                f"Groebner degree budget {config.degree_budget} exceeded "
+                f"(pair degree {d}, {processed} pairs processed, basis size {len(basis)})"
             )
         processed += 1
         if processed > config.pair_budget:
-            raise BudgetExceededError("Groebner pair budget exceeded")
-        # product criterion
-        if monomial_mul(lms[i], lms[j]) == lcm:
+            raise BudgetExceededError(
+                f"Groebner pair budget {config.pair_budget} exceeded "
+                f"(pair degree {d}, {processed - 1} pairs processed, basis size {len(basis)})"
+            )
+        Xi, shifts_i, coeffs_i = basis[i]
+        Xj, shifts_j, coeffs_j = basis[j]
+        # product criterion: coprime leading monomials
+        if L == Xi + Xj:
             continue
         # chain criterion: a third element dividing the lcm whose pairs with
         # i and j were both already handled lets us skip this pair
+        LH = L | guard
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lms[k], lcm):
+        for k, (Xk, _, _) in enumerate(basis):
+            if k == i or k == j or (LH - Xk) & guard != guard:
                 continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
+            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
                 skip = True
                 break
         if skip:
             continue
-        s = _spoly(basis[i], basis[j], lms[i], lms[j], order)
-        h = _normal_form_terms(s, reducers, order)
-        if not h.is_zero():
+        s = [(L + dX, -c) for dX, c in zip(shifts_i, coeffs_i)]
+        s += [(L + dX, c) for dX, c in zip(shifts_j, coeffs_j)]
+        h = _normal_form_terms(s, reducers, p, guard)
+        if h:
             add_element(h)
 
-    return _reduce_basis(basis, order)
+    basis.clear()  # the elements of ``reducers``, which the reduction consumes
+    reduced = _reduce_basis(reducers, field, p, guard)
+    # unpack from the top, freeing each reducer as its polynomial is made
+    out = [pk.polynomial(ring, _reducer_terms(reduced.pop(), field)) for _ in range(len(reduced))]
+    out.reverse()
+    return out
 
 
-def _reduce_basis(basis: List[Polynomial], order: MonomialOrder) -> List[Polynomial]:
-    if not basis:
-        return []
+def _reduce_basis(ordered: list, field: FieldSpec, p: int, guard: int) -> list:
+    """The reduced basis, ascending X_lm, from the reducers of a Groebner
+    basis in ascending X_lm; empties ``ordered`` to free each element once
+    it is used."""
     # minimalize: processing by ascending leading monomial keeps exactly the
     # minimal generators of the leading-term ideal (a divisor never follows
     # its multiple in this order)
-    ordered = sorted(basis, key=lambda g: order.key(g.leading_monomial(order)))
-    minimal: List[Polynomial] = []
-    kept_lms: List[Monomial] = []
-    for g in ordered:
-        lm = g.leading_monomial(order)
-        if not any(monomial_divides(k, lm) for k in kept_lms):
-            minimal.append(g)
-            kept_lms.append(lm)
-    reduced: List[Polynomial] = []
-    for i, g in enumerate(minimal):
-        others = [
-            (h.leading_monomial(order), h) for j, h in enumerate(minimal) if j != i
-        ]
-        others.sort(key=lambda t: order.key(t[0]))
-        r = _normal_form_terms(g, others, order).monic(order)
-        reduced.append(r)
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    minimal: list = []
+    for r in ordered:
+        XH = r[0] | guard
+        if not any((XH - m[0]) & guard == guard for m in minimal):
+            minimal.append(r)
+    ordered.clear()
+    # a tail term below lm(g) can only be divided by a smaller leading
+    # monomial, so the elements already reduced are all g needs
+    minimal.reverse()
+    reduced: list = []
+    while minimal:
+        h = _normal_form_terms(_reducer_terms(minimal.pop(), field), reduced, p, guard)
+        reduced.append(_monic_reducer(h, field))
     return reduced
 
 
@@ -240,9 +364,9 @@ def groebner_basis(
 ) -> List[Polynomial]:
     """Reduced Groebner basis of I for the order, unique and cached.
 
-    ``cap`` truncates the computation at a weighted degree; for homogeneous
-    ideals the truncated basis agrees with the full reduced basis in all
-    degrees <= cap, which is all that membership tests below need.
+    ``cap`` truncates the computation at a weighted degree: the result is
+    the part of the full reduced basis in degrees <= cap, which is all that
+    membership tests below need.
     """
     order.validate(I.ring.nvars)
     token_full = (order.cache_token(), None)
@@ -267,22 +391,32 @@ def normal_form_poly(
         raise ContractError("normal_form_poly requires homogeneous input")
     if f.is_zero() or I.is_zero():
         return f
-    gb = groebner_basis(I, order, cap=f.degree())
-    pairs = sorted(((g.leading_monomial(order), g) for g in gb), key=lambda t: order.key(t[0]))
-    return _normal_form_terms(f, pairs, order)
+    pk = _Packing(I.ring, order)
+    reducers = pk.reducers(I, f.degree())
+    return pk.polynomial(I.ring, _normal_form_terms(pk.terms(f), reducers, pk.p, pk.guard))
 
 
 def ideal_contains(I: Ideal, f: Polynomial, order: MonomialOrder = GREVLEX) -> bool:
     return normal_form_poly(f, I, order).is_zero()
 
 
+def _contains_all(I: Ideal, fs: Sequence[Polynomial], order: MonomialOrder) -> bool:
+    """Whether I contains every f in fs (nonzero and homogeneous), reducing
+    them all against one packing of I's basis truncated at their top degree."""
+    if not fs:
+        return True
+    if I.is_zero():
+        return False
+    pk = _Packing(I.ring, order)
+    reducers = pk.reducers(I, max(f.degree() for f in fs))
+    return not any(_normal_form_terms(pk.terms(f), reducers, pk.p, pk.guard) for f in fs)
+
+
 def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = GREVLEX) -> bool:
     """Mutual containment, decided by truncated reduced bases."""
     if I.ring != J.ring:
         raise RingMismatchError("ideal comparison across rings")
-    return all(ideal_contains(J, g, order) for g in I.generators) and all(
-        ideal_contains(I, g, order) for g in J.generators
-    )
+    return _contains_all(J, I.generators, order) and _contains_all(I, J.generators, order)
 
 
 # -- elimination constructions -------------------------------------------------
@@ -530,18 +664,20 @@ def _multiplication_operator(
     target: List[Monomial],
     order: MonomialOrder,
 ):
+    """Matrix of x^m -> NF(x^m * form): rows the target basis, columns the
+    source basis, all source monomials of one degree."""
     ring = sat.ring
     field = ring.field
-    index = {m: i for i, m in enumerate(target)}
-    cols = []
-    for mono in source:
-        prod = normal_form_poly(ring.monomial(mono) * form, sat, order)
-        col = [field.zero()] * len(target)
-        for m, c in prod.terms.items():
-            col[index[m]] = c
-        cols.append(col)
-    # rows: target basis; columns: source basis
-    return [[cols[j][i] for j in range(len(source))] for i in range(len(target))]
+    pk = _Packing(ring, order)
+    reducers = pk.reducers(sat, sum(source[0]) + form.degree())
+    row = {pk.monomial(m): i for i, m in enumerate(target)}
+    form_terms = pk.terms(form)
+    out = [[field.zero()] * len(source) for _ in target]
+    for j, mono in enumerate(source):
+        X = pk.monomial(mono)
+        for Y, c in _normal_form_terms([(X + Z, c) for Z, c in form_terms], reducers, pk.p, pk.guard):
+            out[row[Y]][j] = c
+    return out
 
 
 def zero_dim_analysis(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG, attempts: int = 5) -> ZeroDimAnalysis:
@@ -554,9 +690,13 @@ def zero_dim_analysis(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG, attempts: 
       * g not squarefree        -> not reduced (for any u);
       * g squarefree, deg g = e -> reduced with e distinct points.
     """
-    ring = I.ring
+    return _zero_dim_saturated(saturate(I, config=config), attempts)
+
+
+def _zero_dim_saturated(sat: Ideal, attempts: int = 5) -> ZeroDimAnalysis:
+    """zero_dim_analysis of an ideal that is already saturated."""
+    ring = sat.ring
     field = ring.field
-    sat = saturate(I, config=config)
     if not sat.generators or sat.contains_one():
         raise ContractError("zero-dimensional analysis: empty projective scheme")
     if dimension(sat) != 1:

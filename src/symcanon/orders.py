@@ -1,18 +1,39 @@
 """Monomial orders on exponent tuples.
 
-A monomial is a tuple of non-negative integer exponents.  Orders expose a
-``key`` function; larger key means larger monomial.  All comparisons are on
-plain tuples, so sorting and max() work directly.
+A monomial is a tuple of non-negative integer exponents.  Every order here
+(grevlex, grevlex with a variable moved last, block elimination, lex) is a
+linear functional: ``key(exp) = sum(w_i * e_i)`` for one weight vector per
+order and number of variables, whose weights place partial degree sums in
+16-bit fields of a Python int.  Larger key means larger monomial, keys are
+compared as ints, and ``key(a * b) = key(a) + key(b)``.  The fields hold
+partial sums of the exponents, so keys order monomials of total degree
+below 2^16 exactly; ``key`` refuses any other monomial, and the Groebner
+engine refuses anything of degree 2^15 or more before it packs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from operator import mul
+from typing import Dict, Optional, Tuple
 
-from .errors import ContractError
+from .errors import ContractError, DegreeOverflowError
 
 Monomial = Tuple[int, ...]
+
+FIELD_BITS = 16
+# keys order the monomials of total degree below this bound exactly
+KEY_DEGREE_BOUND = 1 << FIELD_BITS
+
+
+def _grevlex_block(weights: list, positions: Tuple[int, ...], offset: int) -> None:
+    """Grevlex on the variables ``positions`` (first is largest) in the fields
+    offset .. offset + len - 1: field offset + j holds the exponent sum of
+    positions[0..j], so the top field is the block degree and ties go to the
+    smaller exponent of the last variable."""
+    m = len(positions)
+    for r, v in enumerate(positions):
+        weights[v] += sum(1 << (FIELD_BITS * (offset + j)) for j in range(r, m))
 
 
 @dataclass(frozen=True)
@@ -29,6 +50,9 @@ class MonomialOrder:
     kind: str
     block: int = 0
     permutation: Optional[Tuple[int, ...]] = None
+    _weights: Dict[int, Tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "lex", "elimination"):
@@ -40,22 +64,32 @@ class MonomialOrder:
         if self.permutation is not None and sorted(self.permutation) != list(range(nvars)):
             raise ContractError("order permutation must permute the variables")
 
-    def key(self, exp: Monomial):
-        if self.permutation is not None:
-            exp = tuple(exp[i] for i in self.permutation)
-        if self.kind == "grevlex":
-            return _grevlex_key(exp)
-        if self.kind == "lex":
-            return exp
-        k = self.block
-        return _grevlex_key(exp[:k]) + _grevlex_key(exp[k:])
+    def weights(self, nvars: int) -> Tuple[int, ...]:
+        """The weight vector of ``key`` on ``nvars`` variables."""
+        w = self._weights.get(nvars)
+        if w is None:
+            self.validate(nvars)
+            perm = self.permutation or tuple(range(nvars))
+            acc = [0] * nvars
+            if self.kind == "grevlex":
+                _grevlex_block(acc, perm, 0)
+            elif self.kind == "lex":
+                for q, v in enumerate(perm):
+                    acc[v] = 1 << (FIELD_BITS * (nvars - 1 - q))
+            else:
+                k = self.block
+                _grevlex_block(acc, perm[:k], nvars - k)
+                _grevlex_block(acc, perm[k:], 0)
+            w = self._weights[nvars] = tuple(acc)
+        return w
+
+    def key(self, exp: Monomial) -> int:
+        if sum(exp) >= KEY_DEGREE_BOUND:
+            raise DegreeOverflowError(f"monomial of degree {sum(exp)} exceeds the order-key bound 2^16")
+        return sum(map(mul, self.weights(len(exp)), exp))
 
     def cache_token(self):
         return (self.kind, self.block, self.permutation)
-
-
-def _grevlex_key(exp: Monomial):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -76,18 +110,5 @@ def grevlex_with_last(nvars: int, last: int) -> MonomialOrder:
     return MonomialOrder("grevlex", permutation=perm)
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-

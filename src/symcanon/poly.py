@@ -7,14 +7,16 @@ has an empty dict.  Values are never mutated after construction.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import comb
+from operator import add, mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ContractError, DegreeOverflowError, ParseError, RingMismatchError
 from .fields import FieldSpec, Scalar
-from .orders import GREVLEX, Monomial, MonomialOrder
+from .orders import GREVLEX, KEY_DEGREE_BOUND, Monomial, MonomialOrder
 
 EXPONENT_BOUND = 1 << 15
 
@@ -275,30 +277,51 @@ class Polynomial:
         return total
 
     def exact_divide(self, divisor: "Polynomial") -> "Polynomial":
-        """Quotient self/divisor, requiring zero remainder."""
+        """Quotient self/divisor, requiring zero remainder.
+
+        Long division under grevlex, the remainder's terms kept in a max-heap
+        of int order keys: a term created by a quotient step lies below the
+        term it cancels, so each key enters the heap at most once.
+        """
         self._check_ring(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         ring, field = self.ring, self.ring.field
-        order = GREVLEX
-        lm = divisor.leading_monomial(order)
-        lc = divisor.terms[lm]
-        rem = dict(self.terms)
+        if any(sum(m) >= KEY_DEGREE_BOUND for m in self.terms):
+            raise DegreeOverflowError("exact_divide: degree exceeds the order-key bound 2^16")
+        w = GREVLEX.weights(ring.nvars)
+        lm = divisor.leading_monomial(GREVLEX)
+        k_lm = sum(map(mul, w, lm))
+        inv = field.inv(divisor.terms[lm])
+        tail = [(sum(map(mul, w, m)) - k_lm, m, field.neg(c)) for m, c in divisor.terms.items() if m != lm]
+        rem: Dict[int, Scalar] = {}
+        monos: Dict[int, Monomial] = {}
+        for m, c in self.terms.items():
+            k = sum(map(mul, w, m))
+            rem[k] = c
+            monos[k] = m
+        heap = [-k for k in rem]
+        heapify(heap)
         quo: Dict[Monomial, Scalar] = {}
-        while rem:
-            m = max(rem, key=order.key)
-            if not all(a >= b for a, b in zip(m, lm)):
+        while heap:
+            k = -heappop(heap)
+            c = rem.pop(k)
+            m = monos.pop(k)
+            if field.is_zero(c):
+                continue
+            q_m = tuple(map(sub, m, lm))
+            if any(e < 0 for e in q_m):
                 raise ContractError("exact_divide: division leaves a remainder")
-            q_m = tuple(a - b for a, b in zip(m, lm))
-            q_c = field.div(rem[m], lc)
+            q_c = field.mul(c, inv)
             quo[q_m] = q_c
-            for dm, dc in divisor.terms.items():
-                t = tuple(a + b for a, b in zip(q_m, dm))
-                s = field.sub(rem.get(t, field.zero()), field.mul(q_c, dc))
-                if field.is_zero(s):
-                    rem.pop(t, None)
+            for dk, dm, dc in tail:
+                t = k + dk
+                if t in rem:
+                    rem[t] = field.add(rem[t], field.mul(q_c, dc))
                 else:
-                    rem[t] = s
+                    rem[t] = field.mul(q_c, dc)
+                    monos[t] = tuple(map(add, q_m, dm))
+                    heappush(heap, -t)
         return Polynomial(ring, quo)
 
     def map_ring(self, target: PolyRing, var_map: Sequence[int]) -> "Polynomial":

@@ -21,9 +21,9 @@ from .ideals import (
     GBConfig,
     DEFAULT_GB_CONFIG,
     Ideal,
+    _zero_dim_saturated,
     dimension,
     saturate,
-    zero_dim_analysis,
 )
 from .poly import Polynomial, PolyRing
 
@@ -426,7 +426,7 @@ def degeneracy_scheme(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG)
     dim = dimension(sat)
     if dim > 1:
         return DegeneracyScheme(sat, False, None, None)
-    analysis = zero_dim_analysis(sat, config=config)
+    analysis = _zero_dim_saturated(sat)
     return DegeneracyScheme(sat, True, analysis.reduced, analysis.points, analysis.length)
 
 

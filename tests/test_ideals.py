@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+from math import comb
+
 import pytest
 
-from symcanon.errors import BudgetExceededError, ContractError
+from symcanon.errors import BudgetExceededError, ContractError, DegreeOverflowError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
     GBConfig,
@@ -24,10 +27,12 @@ from symcanon.ideals import (
     saturate,
     zero_dim_analysis,
 )
-from symcanon.orders import GREVLEX, LEX
-from symcanon.poly import PolyRing, parse_poly
+from symcanon.linalg import rank
+from symcanon.orders import GREVLEX, LEX, elimination, grevlex_with_last
+from symcanon.poly import EXPONENT_BOUND, PolyRing, graded_piece, parse_poly
+from symcanon.tableau import erase_first_row, fitting_ideal
 
-from conftest import random_linear
+from conftest import k2_10_fixture, random_linear
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +62,24 @@ def test_gb_linear_elimination(R):
 def test_gb_budget_loud(R):
     small = GBConfig(degree_budget=1, pair_budget=10)
     ideal = I(R, "x0^2 - x1*x2", "x1^2 - x0*x3", "x2^2 - x3*x4")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         groebner_basis(ideal, config=small)
+    assert "pair degree 4, 0 pairs processed, basis size 3" in str(err.value)
+    with pytest.raises(BudgetExceededError) as err:
+        groebner_basis(ideal, config=GBConfig(pair_budget=2))
+    message = str(err.value)
+    assert "pair budget 2" in message and "2 pairs processed" in message
+    assert "pair degree" in message and "basis size" in message
+
+
+def test_gb_refuses_unpackable_exponent(R):
+    # ring.monomial accepts the exponent; the packed engine must not
+    big = Ideal(R, [R.monomial((EXPONENT_BOUND, 0, 0, 0, 0))])
+    with pytest.raises(DegreeOverflowError):
+        groebner_basis(big)
+    # nor may an order key whose 16-bit fields would overflow
+    with pytest.raises(DegreeOverflowError):
+        GREVLEX.key((EXPONENT_BOUND - 1,) * 2 + (2, 0, 0))
 
 
 def test_normal_form_membership(R):
@@ -244,3 +265,78 @@ def test_reduced_basis_unique_under_generator_shuffle():
     scaled = [g.scale(field.of_int(7)) for g in gens]
     gb3 = groebner_basis(Ideal(ring, scaled))
     assert gb1 == gb2 == gb3
+
+
+def _tuple_key(order, exp):
+    """The tuple keys that the int keys replaced, kept as the oracle."""
+
+    def grevlex(e):
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+    if order.permutation is not None:
+        exp = tuple(exp[i] for i in order.permutation)
+    if order.kind == "grevlex":
+        return grevlex(exp)
+    if order.kind == "lex":
+        return exp
+    return grevlex(exp[: order.block]) + grevlex(exp[order.block :])
+
+
+_STANDARD = PolyRing(field=QQ)
+
+
+@pytest.mark.parametrize(
+    "order, ring",
+    [(GREVLEX, _STANDARD), (LEX, _STANDARD), (elimination(1), _STANDARD.with_aux_variable())]
+    + [(grevlex_with_last(5, v), _STANDARD) for v in range(5)],
+)
+def test_int_key_sorts_like_tuple_key(order, ring):
+    rng = DetRng(1000 + ring.nvars)
+    monos = []
+    for i in range(600):
+        top = (3, 12, 4000)[i % 3]  # small exponents make ties, large ones fill the fields
+        monos.append(tuple(rng.randint(0, top) for _ in range(ring.nvars)))
+    by_int = sorted(monos, key=order.key)
+    by_tuple = sorted(monos, key=lambda m: _tuple_key(order, m))
+    assert by_int == by_tuple
+    for a, b in zip(monos, monos[1:]):
+        assert order.key(tuple(x + y for x, y in zip(a, b))) == order.key(a) + order.key(b)
+        assert (order.key(a) == order.key(b)) == (a == b)
+
+
+def test_hilbert_function_matches_graded_rank(golden_tableau):
+    # Buchberger (standard monomials of a truncated basis) against linear
+    # algebra (rank of the degree-d piece of the ideal): I_n(A') and
+    # I_{n+1}(A) of golden seed 0 over GF(32003) and of k2_10_fixture over Q
+    for T in (golden_tableau, k2_10_fixture(QQ)):
+        for ideal in (
+            fitting_ideal(erase_first_row(T), T.n, T.ring),
+            fitting_ideal(T.full_matrix(), T.n + 1, T.ring),
+        ):
+            ring = ideal.ring
+            for d in range(7):
+                piece = graded_piece(ideal.generators, d, ring)
+                expected = comb(d + 4, 4) - rank(piece.tolist(), ring.field)
+                assert hilbert_function(ideal, d) == expected, (ring.field.kind, d)
+
+
+def _digest(polys):
+    return hashlib.sha256("\n".join(str(g) for g in polys).encode()).hexdigest()
+
+
+def test_reduced_bases_pinned(golden_tableau):
+    # printed reduced bases of golden seed 0's I_n(A'), pinned from the
+    # tuple-keyed engine that the packed one replaced
+    T = golden_tableau
+    gens = fitting_ideal(erase_first_row(T), T.n, T.ring).generators
+    pins = [
+        (GREVLEX, "088cbddb3e03b377ad6fab9df1e7848eae704841747f75b96fb18f998fae0f34"),
+        (grevlex_with_last(5, 2), "d3019262c2837f6be50715ae7af956fb1373afe5e9284be060367ad866a06a09"),
+        (LEX, "f0e5a7d9459bbb6c23b9c63ff356666b666d0077b82b1505bdb7561bc8ee147c"),
+    ]
+    for order, digest in pins:
+        assert _digest(groebner_basis(Ideal(T.ring, gens), order)) == digest
+    sat = saturate(Ideal(T.ring, gens))
+    assert _digest(groebner_basis(sat)) == (
+        "6088ac2d7198c3b6e33cd740560b8ec48722c77666dbaf7e73bf88376a4939f0"
+    )
