@@ -14,7 +14,7 @@ the generic graded-exactness experiment behind the reflexivity remark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -356,6 +356,11 @@ class MultiplicationTable:
     entries: Dict[Tuple[int, int], Tuple[Polynomial, List[Polynomial]]]
     surface_ideal: Ideal
     pieces: Dict[int, linalg.Echelon]
+    # by residue degree d: the rows g * x^m of degree d for g = D, N_1..N_n,
+    # stacked, with the number of rows of each g
+    multiples: Dict[int, Tuple[np.ndarray, List[int]]] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def expansion(self, i: int, j: int) -> Tuple[Polynomial, List[Polynomial]]:
         return self.entries[(min(i, j), max(i, j))]
@@ -366,6 +371,35 @@ class MultiplicationTable:
         for c, N in zip(cs, self.numerators[1:]):
             out = out + c * N
         return out
+
+    def residue_vector(self, c0: Polynomial, cs: Sequence[Polynomial]) -> Tuple[Optional[int], np.ndarray]:
+        """Degree d and coefficient vector over graded_basis(ring, d) of
+        combination_residue(c0, cs), as one product: the coefficients of c0,
+        c_1..c_n against the stacked rows of D, N_1..N_n times the monomials
+        of the matching degrees.  d is None for the zero combination."""
+        ring = self.denominator.ring
+        combo = [c0, *cs]
+        if len(combo) != len(self.numerators):
+            raise ContractError(f"a combination needs c0 and {self.n} coefficients")
+        gdeg = [g.degree() for g in self.numerators]
+        live = [not c.is_zero() and e >= 0 for c, e in zip(combo, gdeg)]
+        degrees = {c.degree() + e for c, e, on in zip(combo, gdeg, live) if on}
+        if len(degrees) > 1:
+            raise ContractError("cokernel membership requires a homogeneous combination")
+        if not degrees:
+            return None, np.zeros(0, dtype=np.int64)
+        d = degrees.pop()
+        if d not in self.multiples:
+            blocks = [
+                graded_piece([g] if e <= d else [], d, ring, d - e) for g, e in zip(self.numerators, gdeg)
+            ]
+            self.multiples[d] = (np.vstack(blocks), [len(b) for b in blocks])
+        stacked, sizes = self.multiples[d]
+        coefs = [
+            graded_piece([c], c.degree(), ring, 0)[0] if on else np.zeros(k, stacked.dtype)
+            for c, k, on in zip(combo, sizes, live)
+        ]
+        return d, linalg.vecmat(np.concatenate(coefs), stacked, ring.field)
 
 
 def _adjugate(M: PolyMatrix, ring: PolyRing) -> PolyMatrix:
@@ -427,12 +461,15 @@ def multiplication_table(
     # the multipliers of the ideal's rows
     deg_total = 2 * n + 4
     span = graded_piece(surrogate.generators, deg_total, ring)
-    c0_rows = graded_piece([D * D], deg_total, ring, 4)
-    ck_rows = graded_piece([N * D for N in numerators[1:]], deg_total, ring, 2)
+    # N_i N_j for i <= j, N_0 = D: the system's columns and right-hand sides,
+    # and the left-hand sides of the re-verification below
+    products = {(i, j): numerators[i] * numerators[j] for i in range(n + 1) for j in range(i, n + 1)}
+    c0_rows = graded_piece([products[(0, 0)]], deg_total, ring, 4)
+    ck_rows = graded_piece([products[(0, k)] for k in range(1, n + 1)], deg_total, ring, 2)
     system = np.vstack([c0_rows, ck_rows, span]).T
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    products = [numerators[i] * numerators[j] for i, j in pairs]
-    sols, bad = linalg.solve_columns(system, graded_piece(products, deg_total, ring, 0), field)
+    pairs = [key for key in products if key[0] > 0]
+    rhss = graded_piece([products[key] for key in pairs], deg_total, ring, 0)
+    sols, bad = linalg.solve_columns(system, rhss, field)
     if bad is not None:
         i, j = pairs[bad]
         raise ContractError(f"v_{i} v_{j} not in module span mod I_{{n+1}}(A): ring condition fails in disguise")
@@ -452,17 +489,23 @@ def multiplication_table(
 
     # exact re-verification of every identity modulo I_{n+1}(A)
     for (i, j), (c0, cs) in entries.items():
-        residue = numerators[i] * numerators[j] - table.combination_residue(c0, cs) * D
+        residue = products[(i, j)] - table.combination_residue(c0, cs) * D
         if not graded_membership(residue, surrogate.generators, ring, pieces):
             raise ContractError(f"multiplication identity for ({i},{j}) fails mod I_{{n+1}}(A)")
     return table
 
 
 def is_zero_in_cokernel(table: MultiplicationTable, c0: Polynomial, cs: Sequence[Polynomial]) -> bool:
-    """Whether c0 + sum c_k v_k represents 0, by cleared-denominator residue."""
-    residue = table.combination_residue(c0, cs)
-    ideal = table.surface_ideal
-    return graded_membership(residue, ideal.generators, ideal.ring, table.pieces)
+    """Whether c0 + sum c_k v_k represents 0: its cleared-denominator
+    residue, as a coefficient vector, lies in the echelon of I_{n+1}(A) in
+    the residue's degree."""
+    d, vec = table.residue_vector(c0, cs)
+    if d is None:
+        return True
+    if d not in table.pieces:
+        ideal = table.surface_ideal
+        table.pieces[d] = linalg.Echelon(graded_piece(ideal.generators, d, ideal.ring), ideal.ring.field)
+    return table.pieces[d].contains(vec)
 
 
 def associativity_check(table: MultiplicationTable, i: int, j: int, k: int) -> bool:
@@ -545,8 +588,8 @@ def graded_middle_exactness(
     """Degree-by-degree exactness of O^2 -> O^4 -> O^6 modulo the relation
     ideal, by exact mod-p ranks on ambient graded pieces with the ideal's
     pieces adjoined."""
-    p = ring.field.characteristic
-    if not p:
+    field = ring.field
+    if not field.characteristic:
         raise ContractError("graded exactness check runs over a prime field")
     pairs6 = len(psi)
     # composite must vanish modulo the relations
@@ -563,6 +606,13 @@ def graded_middle_exactness(
 
     def ideal_piece(d: int) -> np.ndarray:
         return graded_piece(relations, d, ring)
+
+    piece_ranks: Dict[int, int] = {}
+
+    def piece_rank(d: int) -> int:
+        if d not in piece_ranks:
+            piece_ranks[d] = linalg.rank(ideal_piece(d), field)
+        return piece_ranks[d]
 
     def map_rows(mat: PolyMatrix, d: int, ncomp_src: int, ncomp_tgt: int) -> np.ndarray:
         # one row per (source component, monomial), blocks by target component
@@ -584,20 +634,21 @@ def graded_middle_exactness(
     checked, kers, ims = [], [], []
     for d in range(degree_bound + 1):
         dim_t = len(graded_basis(ring, d))
-        rank_id = linalg.np_rank_modp(ideal_piece(d), p)
+        rank_id = piece_rank(d)
         dim_quot4 = 4 * (dim_t - rank_id)
         # kernel of psi on (O^4)_d
         k_rows = map_rows(psi, d, 4, pairs6)
         b_next = block_diag_piece(d + entry_degree, pairs6)
         stacked = np.vstack([k_rows, b_next]) if b_next.size or k_rows.size else k_rows
-        rank_induced = linalg.np_rank_modp(stacked, p) - linalg.np_rank_modp(b_next, p)
+        # a block diagonal of copies of the ideal's piece has that many times its rank
+        rank_induced = linalg.rank(stacked, field) - pairs6 * piece_rank(d + entry_degree)
         ker_dim = dim_quot4 - rank_induced
         # image of phi in (O^4)_d
         if d >= entry_degree:
             p_rows = map_rows(phi, d - entry_degree, 2, 4)
             b_here = block_diag_piece(d, 4)
             stacked2 = np.vstack([p_rows, b_here]) if b_here.size or p_rows.size else p_rows
-            im_dim = linalg.np_rank_modp(stacked2, p) - linalg.np_rank_modp(b_here, p)
+            im_dim = linalg.rank(stacked2, field) - 4 * rank_id
         else:
             im_dim = 0
         checked.append(d)

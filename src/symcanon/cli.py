@@ -45,7 +45,6 @@ class Config:
     seed: int
     degree_budget: int
     pair_budget: int
-    verbosity: int
 
     def gb_config(self) -> GBConfig:
         return GBConfig(self.degree_budget, self.pair_budget)
@@ -80,7 +79,6 @@ def resolve_config(args: argparse.Namespace) -> Config:
         seed=int(pick(getattr(args, "seed", None), "SYMCANON_SEED", "seed", 0)),
         degree_budget=int(pick(None, "SYMCANON_DEGREE_BUDGET", "degree_budget", 48)),
         pair_budget=int(pick(None, "SYMCANON_PAIR_BUDGET", "pair_budget", 400_000)),
-        verbosity=int(pick(None, "SYMCANON_VERBOSITY", "verbosity", 0)),
     )
 
 
@@ -136,7 +134,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_koszul_type(args) -> int:
     cfg = resolve_config(args)
     data = _read_json(args.input)
-    inp = serialize.tableau_from_json(data) if "n" in data else serialize.pair_from_json(data)
+    is_tableau = isinstance(data, dict) and "n" in data
+    inp = serialize.tableau_from_json(data) if is_tableau else serialize.pair_from_json(data)
     cert = make_koszul_type(inp, seed=cfg.seed, config=cfg.gb_config())
     result = cert.result
     if hasattr(result, "n"):

@@ -31,6 +31,47 @@ from .tableau import OpMove, SymmetricTableau, rows_move
 
 THM15_SHIFTS = "thm-1.5"
 
+_JSON_NAMES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    (int, str): "an integer or a string",
+}
+
+
+def _typed(data, kind: type, what: str):
+    """``data`` if it is a JSON value of ``kind``, else ContractError."""
+    if isinstance(data, kind) and not isinstance(data, bool):
+        return data
+    got = "null" if data is None else _JSON_NAMES.get(type(data), f"a {type(data).__name__}")
+    raise ContractError(f"{what} must be {_JSON_NAMES[kind]}, got {got}")
+
+
+def _object(data, what: str, *keys: str) -> dict:
+    """``data`` as a JSON object holding ``keys``; ContractError otherwise."""
+    missing = [k for k in keys if k not in _typed(data, dict, what)]
+    if missing:
+        raise ContractError(f"{what} lacks {', '.join(map(repr, missing))}")
+    return data
+
+
+def _poly(text, ring: PolyRing, what: str):
+    _typed(text, str, what)
+    try:
+        return parse_poly(text, ring)
+    except ContractError as exc:
+        raise ContractError(f"{what}: {exc}") from exc
+
+
+def _poly_matrix(data, ring: PolyRing, what: str, size: int):
+    rows = _typed(data, list, what)
+    if len(rows) != size or any(len(_typed(row, list, f"{what} row")) != size for row in rows):
+        raise ContractError(f"{what} block must be {size} x {size}")
+    return [
+        [_poly(t, ring, f"{what}[{i + 1}][{j + 1}]") for j, t in enumerate(row)] for i, row in enumerate(rows)
+    ]
+
 
 def scalar_to_json(c: Scalar, field: FieldSpec):
     if field.kind == "prime_field":
@@ -39,9 +80,13 @@ def scalar_to_json(c: Scalar, field: FieldSpec):
 
 
 def scalar_from_json(data, field: FieldSpec) -> Scalar:
-    if field.kind == "prime_field":
-        return int(data) % field.p
-    return Fraction(str(data))
+    _typed(data, (int, str), "a scalar")
+    try:
+        if field.kind == "prime_field":
+            return int(data) % field.p
+        return Fraction(str(data))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ContractError(f"cannot read scalar {data!r}: {exc}") from exc
 
 
 def ring_to_json(ring: PolyRing) -> dict:
@@ -49,7 +94,11 @@ def ring_to_json(ring: PolyRing) -> dict:
 
 
 def ring_from_json(data: dict) -> PolyRing:
-    return PolyRing(tuple(data["variables"]), FieldSpec.from_json(data["field"]))
+    _object(data, "ring", "variables", "field")
+    names = [_typed(v, str, "a ring variable") for v in _typed(data["variables"], list, "ring variables")]
+    field = _object(data["field"], "ring field", "kind", "characteristic")
+    kind = _typed(field["kind"], str, "field kind")
+    return PolyRing(tuple(names), FieldSpec(kind, _typed(field["characteristic"], int, "field characteristic")))
 
 
 def tableau_to_json(T: SymmetricTableau) -> dict:
@@ -62,8 +111,9 @@ def tableau_to_json(T: SymmetricTableau) -> dict:
 
 
 def tableau_from_json(data: dict) -> SymmetricTableau:
+    _object(data, "tableau", "ring", "n", "alpha", "beta")
     ring = ring_from_json(data["ring"])
-    n = data["n"]
+    n = _typed(data["n"], int, "n")
     if "shifts" in data:
         # general twist layouts are parsed but only the specialization with
         # row degrees (3; 1..1) is processed
@@ -74,22 +124,9 @@ def tableau_from_json(data: dict) -> SymmetricTableau:
                 f"processed; got shift data {data['shifts']!r}"
             )
 
-    def parse_block(name: str):
-        block = data[name]
-        if len(block) != n + 1 or any(len(row) != n + 1 for row in block):
-            raise ContractError(f"{name} block must be {n + 1} x {n + 1}")
-        out = []
-        for i, row in enumerate(block):
-            out_row = []
-            for j, text in enumerate(row):
-                try:
-                    out_row.append(parse_poly(text, ring))
-                except ContractError as exc:
-                    raise ContractError(f"{name}[{i + 1}][{j + 1}]: {exc}") from exc
-            out.append(out_row)
-        return out
-
-    return SymmetricTableau(ring, parse_block("alpha"), parse_block("beta"))
+    alpha = _poly_matrix(data["alpha"], ring, "alpha", n + 1)
+    beta = _poly_matrix(data["beta"], ring, "beta", n + 1)
+    return SymmetricTableau(ring, alpha, beta)
 
 
 def ideal_to_json(I: Ideal, reduced: bool = False) -> dict:
@@ -108,8 +145,10 @@ def ideal_to_json(I: Ideal, reduced: bool = False) -> dict:
 
 
 def ideal_from_json(data: dict) -> Ideal:
+    _object(data, "ideal", "ring", "generators")
     ring = ring_from_json(data["ring"])
-    return Ideal(ring, [parse_poly(t, ring) for t in data["generators"]])
+    gens = _typed(data["generators"], list, "generators")
+    return Ideal(ring, [_poly(t, ring, f"generator {i + 1}") for i, t in enumerate(gens)])
 
 
 def move_to_json(move: OpMove, field: FieldSpec) -> dict:
@@ -126,9 +165,12 @@ def move_to_json(move: OpMove, field: FieldSpec) -> dict:
 
 
 def move_from_json(data: dict, field: FieldSpec) -> OpMove:
-    if data["kind"] == "rows":
-        g = [[scalar_from_json(c, field) for c in row] for row in data["g"]]
-        return rows_move(g)
+    if _typed(_object(data, "move", "kind")["kind"], str, "move kind") == "rows":
+        rows = _typed(_object(data, "rows move", "g")["g"], list, "move g")
+        return rows_move([[scalar_from_json(c, field) for c in _typed(row, list, "move g row")] for row in rows])
+    for key in ("mu", "nu"):
+        if data.get(key) is not None:
+            _typed(data[key], int, f"move {key}")
     lam = scalar_from_json(data["lam"], field) if "lam" in data else None
     return OpMove(data["kind"], lam, data.get("mu"), data.get("nu"))
 
@@ -138,7 +180,7 @@ def moves_to_json(moves, field: FieldSpec) -> list:
 
 
 def moves_from_json(data: list, field: FieldSpec) -> List[OpMove]:
-    return [move_from_json(d, field) for d in data]
+    return [move_from_json(d, field) for d in _typed(data, list, "move word")]
 
 
 def skew_witness_to_json(w: SkewWitness) -> dict:
@@ -162,20 +204,26 @@ def parameter_point_to_json(p: ParameterPoint) -> dict:
 
 
 def parameter_point_from_json(data: dict) -> ParameterPoint:
+    groups = ("base", "L_free", "M", "quadrics", "scalars")
+    _object(data, "parameter point", "ring", *groups)
     ring = ring_from_json(data["ring"])
     field = ring.field
+    base, l_free, m, quadrics, scalars = (_object(data[g], g) for g in groups)
 
     def key2(t: str):
-        a, b = t.split(",")
-        return int(a), int(b)
+        try:
+            a, b = t.split(",")
+            return int(a), int(b)
+        except ValueError as exc:
+            raise ContractError(f"parameter key {t!r} must be '<int>,<int>'") from exc
 
     return ParameterPoint(
         ring,
-        {k: parse_poly(v, ring) for k, v in data["base"].items()},
-        {key2(k): parse_poly(v, ring) for k, v in data["L_free"].items()},
-        {key2(k): parse_poly(v, ring) for k, v in data["M"].items()},
-        {k: parse_poly(v, ring) for k, v in data["quadrics"].items()},
-        {key2(k): scalar_from_json(v, field) for k, v in data["scalars"].items()},
+        {k: _poly(v, ring, f"base {k}") for k, v in base.items()},
+        {key2(k): _poly(v, ring, f"L_free {k}") for k, v in l_free.items()},
+        {key2(k): _poly(v, ring, f"M {k}") for k, v in m.items()},
+        {k: _poly(v, ring, f"quadric {k}") for k, v in quadrics.items()},
+        {key2(k): scalar_from_json(v, field) for k, v in scalars.items()},
     )
 
 
@@ -201,9 +249,11 @@ def pair_to_json(pair: SquareSymmetricPair) -> dict:
 
 
 def pair_from_json(data: dict) -> SquareSymmetricPair:
+    _object(data, "pair", "ring", "alpha", "beta")
     ring = ring_from_json(data["ring"])
-    alpha = [[parse_poly(t, ring) for t in row] for row in data["alpha"]]
-    beta = [[parse_poly(t, ring) for t in row] for row in data["beta"]]
+    size = len(_typed(data["alpha"], list, "alpha"))
+    alpha = _poly_matrix(data["alpha"], ring, "alpha", size)
+    beta = _poly_matrix(data["beta"], ring, "beta", size)
     return SquareSymmetricPair(ring, alpha, beta)
 
 

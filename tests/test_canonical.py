@@ -13,6 +13,7 @@ from symcanon.canonical import (
     graded_dim,
     graded_membership,
     invariants,
+    is_zero_in_cokernel,
     multiplication_table,
     ring_condition_check,
     shape_resolution,
@@ -32,7 +33,7 @@ from symcanon.ideals import (
 )
 from symcanon.koszul import RegularSequence, koszul_differential
 from symcanon import linalg
-from symcanon.poly import PolyRing, coeff_matrix, graded_basis, parse_poly
+from symcanon.poly import PolyRing, coeff_matrix, graded_basis, graded_piece, parse_poly
 from symcanon.tableau import SymmetricTableau, degeneracy_scheme, fitting_ideal
 
 from conftest import k2_10_fixture, random_linear
@@ -254,6 +255,50 @@ def test_echelon_membership_matches_span_solve(case, request):
         assert not graded_membership(outside, gens, ring, table.pieces)
         assert not _span_solve_membership(outside, gens, ring)
     assert list(table.pieces) == [2 * table.n + 4]
+
+    # residue vectors equal the coefficients of the polynomial residues
+    n = table.n
+    for c0, cs in table.entries.values():
+        residue = table.combination_residue(c0, cs)
+        d, vec = table.residue_vector(c0, cs)
+        assert d == residue.homogeneous_degree()
+        assert list(vec) == list(graded_piece([residue], d, ring, 0)[0])
+    zero = ring.zero()
+    # the residue of 1 is D = det(M'), which the column choice put outside
+    assert not is_zero_in_cokernel(table, ring.one(), [zero] * n)
+    # a multiple of a generator of I_{n+1}(A) represents 0, so does 0
+    assert is_zero_in_cokernel(table, gens[0], [zero] * n)
+    for c0, cs in table.entries.values():
+        assert is_zero_in_cokernel(table, c0 - c0, [c - c for c in cs])
+    assert associativity_check(table, 1, 1, 1)
+    with pytest.raises(ContractError):
+        is_zero_in_cokernel(table, ring.one(), [ring.one()] * n)  # degrees n and n + 2
+
+
+def test_multiply_op_makes_two_eliminations(golden_tableau, monkeypatch):
+    # the tracer counts linalg._np_rref by wrapping the module attribute; a
+    # multiply op must reach it twice (the solve and the piece's echelon),
+    # not once per panel of the blocked kernel
+    calls = []
+    kernel = linalg._np_rref
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return kernel(a, p)
+
+    monkeypatch.setattr(linalg, "_np_rref", counted)
+    table = multiplication_table(golden_tableau)
+    n = table.n
+    assert all(
+        associativity_check(table, i, j, k)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for k in range(1, n + 1)
+    )
+    piece = graded_piece(table.surface_ideal.generators, 2 * n + 4, golden_tableau.ring)
+    assert len(calls) == 2
+    assert calls[0][0] == len(graded_basis(golden_tableau.ring, 2 * n + 4))
+    assert calls[1] == piece.shape
 
 
 def test_reflexivity_composite_and_exactness():

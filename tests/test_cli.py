@@ -151,6 +151,48 @@ def test_cli_exit_codes(tmp_path, golden_file, capsys):
     capsys.readouterr()
 
 
+RING_JSON = {"variables": ["x0", "x1", "x2", "x3", "x4"], "field": {"kind": "prime_field", "characteristic": 7}}
+MALFORMED = [
+    [],
+    None,
+    "tableau",
+    {"ring": {"variables": 3}},
+    {"ring": {"variables": 3}, "n": 1, "alpha": [], "beta": []},
+    {"ring": {"variables": ["x0"], "field": None}, "n": 1, "alpha": [], "beta": []},
+    {"ring": {"variables": ["x0"], "field": {"kind": "prime_field", "characteristic": "7"}}, "n": 1,
+     "alpha": [], "beta": []},
+    {"ring": RING_JSON, "n": "1", "alpha": [], "beta": []},
+    {"ring": RING_JSON, "n": 1, "alpha": 5, "beta": []},
+    {"ring": RING_JSON, "n": 1, "alpha": [[1, 2], [3, 4]], "beta": [[1, 2], [3, 4]]},
+    {"ring": RING_JSON, "alpha": [[None]], "beta": [["x0"]]},
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "multiply", "koszul-type"])
+@pytest.mark.parametrize("doc", MALFORMED, ids=range(len(MALFORMED)))
+def test_malformed_input_exits_2(tmp_path, capsys, command, doc):
+    # a document of the wrong shape is a parse error (exit 2), never a
+    # verification failure (exit 1) or an uncaught exception
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_library_documents_refused(Fp):
+    with pytest.raises(ContractError, match="must be an array"):
+        moves_from_json({"kind": "swap"}, Fp)
+    with pytest.raises(ContractError, match="move mu"):
+        moves_from_json([{"kind": "swap", "mu": "0", "nu": 1}], Fp)
+    with pytest.raises(ContractError, match="scalar"):
+        moves_from_json([{"kind": "add_col_same", "lam": None, "mu": 0}], Fp)
+    with pytest.raises(ContractError, match="generator 1"):
+        ideal_from_json({"ring": RING_JSON, "generators": [3]})
+    with pytest.raises(ContractError, match="lacks 'generators'"):
+        ideal_from_json({"ring": RING_JSON})
+
+
 def test_large_primes_refused(golden_file, capsys):
     # int64 elimination would square residues past 2^63 and report wrong ranks
     with pytest.raises(ContractError, match="too large"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from symcanon import linalg
@@ -108,3 +109,106 @@ def test_rank_at_largest_admitted_prime():
 def test_empty_shapes():
     assert linalg.rank([], QQ) == 0
     assert linalg.nullspace([], QQ, ncols=3) == linalg.identity(3, QQ)
+
+
+# -- the blocked GF(p) kernel against the per-column loop it replaced ---------
+
+ADMITTED_PRIMES = (3, 32003, 2**31 - 1, 3037000493)
+
+
+def _column_loop_rref(a, p):
+    """Oracle: unblocked Gauss-Jordan, one rank-1 update per pivot column."""
+    a = a % p
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def _random_residues(gen, m, n, p, density=1.0, rank=None):
+    """Seeded m x n residues mod p; ``rank`` caps the rank through a product
+    of m x rank and rank x n factors, formed exactly over the integers."""
+    def draw(rows, cols):
+        x = gen.integers(0, p, size=(rows, cols), dtype=np.int64)
+        return x * (gen.random((rows, cols)) < density)
+
+    if rank is None:
+        return draw(m, n)
+    product = draw(m, rank).astype(object).dot(draw(rank, n).astype(object))
+    return (product % p).astype(np.int64).reshape(m, n)
+
+
+SHAPES = [(0, 5), (0, 130), (5, 0), (7, 64), (70, 65), (40, 200), (200, 130), (129, 129)]
+
+
+@pytest.mark.parametrize("p", ADMITTED_PRIMES)
+def test_blocked_rref_matches_column_loop(p):
+    gen = np.random.default_rng(p % 10007)
+    for m, n in SHAPES:
+        for density in (1.0, 0.01):
+            for rank in (None, min(m, n) // 3):
+                a = _random_residues(gen, m, n, p, density, rank)
+                if n > 128:
+                    a[:, 64:128] = 0  # an all-zero panel
+                if density == 1.0 and rank is None:
+                    a = a - p * gen.integers(0, 2, size=a.shape)  # unreduced input
+                want, want_pivots = _column_loop_rref(a.copy(), p)
+                before = a.copy()
+                got, got_pivots = linalg._np_rref(a, p)
+                assert np.array_equal(a, before), "the kernel must not touch its input"
+                assert got_pivots == want_pivots and np.array_equal(got, want), (m, n, density, rank)
+                assert got.dtype == np.int64
+
+
+def _pivot_loop_contains(ech, vec, p):
+    """Oracle: subtract vec[c] times the row of each pivot c in turn."""
+    v = np.array(vec, dtype=ech.rows.dtype)
+    for row, c in zip(ech.rows, ech.pivots):
+        if v[c]:
+            v = v - v[c] * row
+            if p:
+                v %= p
+    return not v.any()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(3037000493)])
+def test_echelon_contains_matches_pivot_loop(field):
+    rng = DetRng(11)
+    m, n, r = 12, 30, 7
+    a = linalg.matmul(random_matrix(rng, m, r, field), random_matrix(rng, r, n, field), field)
+    ech = linalg.Echelon(a, field)
+    assert len(ech.pivots) == r and ech.rows.shape == (r, n)  # only the rank rows are kept
+    free = next(c for c in range(n) if c not in ech.pivots)
+    for _ in range(6):
+        coeffs = [rng.scalar(field) for _ in range(m)]
+        member = [field.zero()] * n
+        for c, row in zip(coeffs, a):
+            member = [field.add(x, field.mul(c, y)) for x, y in zip(member, row)]
+        outside = list(member)
+        outside[free] = field.add(outside[free], field.one())
+        noise = [rng.scalar(field) for _ in range(n)]
+        for vec, expected in ((member, True), (outside, False), (noise, None)):
+            got = ech.contains(vec)
+            assert got == _pivot_loop_contains(ech, vec, field.characteristic)
+            if expected is not None:
+                assert got is expected
+    zero = linalg.Echelon([[field.zero()] * n], field)
+    assert zero.pivots == [] and zero.contains([field.zero()] * n)
+    assert not zero.contains([field.one()] + [field.zero()] * (n - 1))
