@@ -27,7 +27,7 @@ from .ideals import (
 )
 from .koszul import RegularSequence, SkewWitness, ambiguity_dim, is_regular_sequence, koszul_differential, solve_skew
 from .orders import GREVLEX, LEX, MonomialOrder, elimination
-from .poly import Polynomial, PolyRing, coeff_matrix, graded_basis, parse_poly, poly_to_string
+from .poly import Polynomial, PolyRing, graded_basis, parse_poly, poly_to_string
 from .tableau import (
     OpMove,
     ScalarTableau,

@@ -33,7 +33,7 @@ from .ideals import (
     ideal_equal,
     saturate,
 )
-from .poly import Polynomial, PolyRing, graded_basis, graded_piece
+from .poly import Polynomial, PolyRing, graded_basis, graded_map, graded_piece, poly_matmul
 from .tableau import (
     DegeneracyScheme,
     PolyMatrix,
@@ -73,12 +73,8 @@ def build_resolution(T: SymmetricTableau) -> GradedResolution:
     second = [
         [-T.beta[j][i] for j in range(n + 1)] for i in range(n + 1)
     ] + [[T.alpha[j][i] for j in range(n + 1)] for i in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            s = ring.zero()
-            for k in range(2 * n + 2):
-                s = s + first[i][k] * second[k][j]
-            assert s.is_zero(), "composite of the resolution maps is nonzero"
+    composite = poly_matmul(first, second, ring)
+    assert all(s.is_zero() for row in composite for s in row), "composite of the resolution maps is nonzero"
     shifts = (
         (0,) + (2,) * n,
         (3,) * (2 * n + 2),
@@ -154,10 +150,7 @@ def cokernel_graded_dim(T: SymmetricTableau, m: int) -> int:
     dim_f0 = _binom_cut(m + v, v) + n * _binom_cut(m - 2 + v, v)
     if m < 3:
         return dim_f0
-    full = T.full_matrix()
-    columns = np.hstack(
-        [graded_piece(full[i], m - a, ring, m - 3) for i, a in enumerate((0,) + (2,) * n)]
-    )
+    columns = graded_map(T.full_matrix(), [m, *[m - 2] * n], ring, m - 3)
     return dim_f0 - linalg.rank(columns, ring.field)
 
 
@@ -244,9 +237,9 @@ def complex_acyclicity(
     ok2 = cert2.minor is not None
     codim1 = codim2 = 0
     if ok1:
-        codim1 = codimension(fitting_ideal(first_map, expected_rank, ring))
+        codim1 = codimension(fitting_ideal(first_map, expected_rank, ring), config=config)
     if ok2:
-        codim2 = codimension(fitting_ideal(second_map, expected_rank, ring))
+        codim2 = codimension(fitting_ideal(second_map, expected_rank, ring), config=config)
     return AcyclicityReport(ok1, ok2, codim1, codim2, cert1, cert2)
 
 
@@ -321,6 +314,14 @@ def conductor_ideal(
 # -- multiplication table --------------------------------------------------------
 
 
+def _piece_echelon(pieces: Dict[int, linalg.Echelon], gens: Sequence[Polynomial], d: int, ring: PolyRing) -> linalg.Echelon:
+    """The reduced echelon of the degree-d piece of the ideal (gens), kept
+    in ``pieces`` by degree."""
+    if d not in pieces:
+        pieces[d] = linalg.Echelon(graded_piece(gens, d, ring), ring.field)
+    return pieces[d]
+
+
 def graded_membership(
     f: Polynomial, gens: Sequence[Polynomial], ring: PolyRing, pieces: Optional[Dict[int, linalg.Echelon]] = None
 ) -> bool:
@@ -332,10 +333,8 @@ def graded_membership(
     d = f.homogeneous_degree()
     if d is None:
         raise ContractError("graded membership requires homogeneous input")
-    pieces = {} if pieces is None else pieces
-    if d not in pieces:
-        pieces[d] = linalg.Echelon(graded_piece(gens, d, ring), ring.field)
-    return pieces[d].contains(graded_piece([f], d, ring, 0)[0])
+    echelon = _piece_echelon({} if pieces is None else pieces, gens, d, ring)
+    return echelon.contains(graded_piece([f], d, ring, 0)[0])
 
 
 @dataclass
@@ -450,12 +449,7 @@ def multiplication_table(
 
     adj = _adjugate(mprime, ring)
     m_row = [full[0][c] for c in cols]
-    numerators = [D]
-    for k in range(n):
-        s = ring.zero()
-        for i in range(n):
-            s = s + m_row[i] * adj[i][k]
-        numerators.append(-s)
+    numerators = [D] + [-s for s in poly_matmul([m_row], adj, ring)[0]]
 
     # unknowns: c0 (degree 4) against D^2, c_k (degree 2) against N_k D, then
     # the multipliers of the ideal's rows
@@ -502,10 +496,8 @@ def is_zero_in_cokernel(table: MultiplicationTable, c0: Polynomial, cs: Sequence
     d, vec = table.residue_vector(c0, cs)
     if d is None:
         return True
-    if d not in table.pieces:
-        ideal = table.surface_ideal
-        table.pieces[d] = linalg.Echelon(graded_piece(ideal.generators, d, ideal.ring), ideal.ring.field)
-    return table.pieces[d].contains(vec)
+    ideal = table.surface_ideal
+    return _piece_echelon(table.pieces, ideal.generators, d, ideal.ring).contains(vec)
 
 
 def associativity_check(table: MultiplicationTable, i: int, j: int, k: int) -> bool:
@@ -594,15 +586,9 @@ def graded_middle_exactness(
     pairs6 = len(psi)
     # composite must vanish modulo the relations
     composite_zero = True
-    for r in range(pairs6):
-        for c in range(2):
-            entry = ring.zero()
-            for k in range(4):
-                entry = entry + psi[r][k] * phi[k][c]
-            if entry.is_zero():
-                continue
-            if not graded_membership(entry, relations, ring):
-                composite_zero = False
+    for entry in (e for row in poly_matmul(psi, phi, ring) for e in row):
+        if not entry.is_zero() and not graded_membership(entry, relations, ring):
+            composite_zero = False
 
     def ideal_piece(d: int) -> np.ndarray:
         return graded_piece(relations, d, ring)
@@ -613,11 +599,6 @@ def graded_middle_exactness(
         if d not in piece_ranks:
             piece_ranks[d] = linalg.rank(ideal_piece(d), field)
         return piece_ranks[d]
-
-    def map_rows(mat: PolyMatrix, d: int, ncomp_src: int, ncomp_tgt: int) -> np.ndarray:
-        # one row per (source component, monomial), blocks by target component
-        entries = [[mat[t][comp] for comp in range(ncomp_src)] for t in range(ncomp_tgt)]
-        return np.hstack([graded_piece(row, d + entry_degree, ring, d) for row in entries])
 
     def block_diag_piece(d: int, ncomp: int) -> np.ndarray:
         piece = ideal_piece(d)
@@ -637,7 +618,7 @@ def graded_middle_exactness(
         rank_id = piece_rank(d)
         dim_quot4 = 4 * (dim_t - rank_id)
         # kernel of psi on (O^4)_d
-        k_rows = map_rows(psi, d, 4, pairs6)
+        k_rows = graded_map(psi, [d + entry_degree] * pairs6, ring, d)
         b_next = block_diag_piece(d + entry_degree, pairs6)
         stacked = np.vstack([k_rows, b_next]) if b_next.size or k_rows.size else k_rows
         # a block diagonal of copies of the ideal's piece has that many times its rank
@@ -645,7 +626,7 @@ def graded_middle_exactness(
         ker_dim = dim_quot4 - rank_induced
         # image of phi in (O^4)_d
         if d >= entry_degree:
-            p_rows = map_rows(phi, d - entry_degree, 2, 4)
+            p_rows = graded_map(phi, [d] * 4, ring, d - entry_degree)
             b_here = block_diag_piece(d, 4)
             stacked2 = np.vstack([p_rows, b_here]) if b_here.size or p_rows.size else p_rows
             im_dim = linalg.rank(stacked2, field) - 4 * rank_id

@@ -557,9 +557,9 @@ def dimension(I: Ideal, order: MonomialOrder = GREVLEX, config: GBConfig = DEFAU
     return 0
 
 
-def codimension(I: Ideal, order: MonomialOrder = GREVLEX) -> int:
+def codimension(I: Ideal, order: MonomialOrder = GREVLEX, config: GBConfig = DEFAULT_GB_CONFIG) -> int:
     """grade(I) = codim(I) over the Cohen-Macaulay polynomial ring."""
-    return I.ring.nvars - dimension(I, order)
+    return I.ring.nvars - dimension(I, order, config)
 
 
 def _minimalize_monomials(monos: List[Monomial]) -> List[Monomial]:
@@ -632,11 +632,7 @@ def hilbert_function(I: Ideal, m: int, order: MonomialOrder = GREVLEX) -> int:
     ring = I.ring
     if I.is_zero():
         return comb(m + ring.nvars - 1, ring.nvars - 1)
-    gb = groebner_basis(I, order, cap=m)
-    lms = [g.leading_monomial(order) for g in gb]
-    return sum(
-        1 for mono in graded_basis(ring, m) if not any(monomial_divides(l, mono) for l in lms)
-    )
+    return len(_standard_monomials(I, m, order))
 
 
 def _standard_monomials(I: Ideal, m: int, order: MonomialOrder = GREVLEX) -> List[Monomial]:

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from . import linalg
 from .errors import ContractError
 from .ideals import Ideal, codimension
-from .poly import Polynomial, PolyRing, graded_basis
+from .poly import Polynomial, PolyRing, graded_basis, graded_map, graded_piece, poly_matmul
 
 PolyMatrix = List[List[Polynomial]]
 
@@ -36,8 +38,7 @@ def is_regular_sequence(forms: Sequence[Polynomial]) -> bool:
     if len(forms) > ring.nvars:
         return False
     if all(f.degree() == 1 for f in forms):
-        rows = [[f.coefficient(tuple(int(k == i) for k in range(ring.nvars))) for i in range(ring.nvars)] for f in forms]
-        return linalg.rank(rows, ring.field) == len(forms)
+        return linalg.rank(graded_piece(forms, 1, ring, 0), ring.field) == len(forms)
     return codimension(Ideal(ring, forms)) == len(forms)
 
 
@@ -100,14 +101,7 @@ class SkewWitness:
                     raise ContractError("witness matrix is not skew-symmetric")
 
     def apply(self, v: Sequence[Polynomial]) -> List[Polynomial]:
-        ring = v[0].ring
-        out = []
-        for i in range(self.size):
-            s = ring.zero()
-            for j in range(self.size):
-                s = s + self.entries[i][j] * v[j]
-            out.append(s)
-        return out
+        return [row[0] for row in poly_matmul(self.entries, [[f] for f in v], v[0].ring)]
 
     def upper_triangle(self) -> List[Polynomial]:
         return [
@@ -129,32 +123,13 @@ def _skew_from_upper(ring: PolyRing, m: int, upper: Sequence[Polynomial]) -> Ske
     return SkewWitness(m, entries, deg)
 
 
-def _skew_system(
-    v: Sequence[Polynomial], entry_degree: int
-) -> Tuple[List[List], List, List]:
-    """Coefficient matrix of (S, v) -> S*v on skew matrices with entries of
-    the given degree.  Columns are (pair index, source monomial); rows are
-    (component, target monomial)."""
-    ring = v[0].ring
-    field = ring.field
-    m = len(v)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    src = graded_basis(ring, entry_degree)
-    tgt = graded_basis(ring, entry_degree + 1)
-    tgt_pos = {mono: t for t, mono in enumerate(tgt)}
-    ncols = len(pairs) * len(src)
-    rows = [[field.zero()] * ncols for _ in range(m * len(tgt))]
-    for p, (i, j) in enumerate(pairs):
-        for s, mono in enumerate(src):
-            col = p * len(src) + s
-            base = ring.monomial(mono)
-            # S_ij contributes +x^mono * v_j to component i and -x^mono * v_i to j
-            for comp, sign_form in ((i, base * v[j]), (j, -(base * v[i]))):
-                for mm, cc in sign_form.terms.items():
-                    rows[comp * len(tgt) + tgt_pos[mm]][col] = field.add(
-                        rows[comp * len(tgt) + tgt_pos[mm]][col], cc
-                    )
-    return rows, pairs, src
+def _skew_map(v: RegularSequence, entry_degree: int) -> np.ndarray:
+    """Matrix of S -> S*v on skew S with entries of the given degree: rows
+    (pair i < j, source monomial), columns (component, target monomial).
+    S_ij adds x^m v_j to component i and -x^m v_i to component j, which is
+    the negated Koszul differential d_1."""
+    neg_d1 = [[-f for f in row] for row in koszul_differential(v, 1)]
+    return graded_map(neg_d1, [entry_degree + 1] * len(v), v.ring, entry_degree)
 
 
 def solve_skew(W: Sequence[Polynomial], v: RegularSequence) -> SkewWitness:
@@ -180,29 +155,16 @@ def solve_skew(W: Sequence[Polynomial], v: RegularSequence) -> SkewWitness:
     if not degrees:
         return _skew_from_upper(ring, m, [ring.zero()] * (m * (m - 1) // 2))
     d = degrees.pop()
-    residual = ring.zero()
-    for w, f in zip(W, forms):
-        residual = residual + w * f
+    residual = poly_matmul([W], [[f] for f in forms], ring)[0][0]
     if not residual.is_zero():
         raise ContractError(f"sum W_i v_i != 0; residual = {residual}")
-    rows, pairs, src = _skew_system(forms, d - 1)
-    tgt = graded_basis(ring, d)
-    tgt_pos = {mono: t for t, mono in enumerate(tgt)}
-    rhs = [field.zero()] * (m * len(tgt))
-    for comp, w in enumerate(W):
-        for mm, cc in w.terms.items():
-            rhs[comp * len(tgt) + tgt_pos[mm]] = cc
-    sol = linalg.solve_particular(rows, rhs, field)
+    src = graded_basis(ring, d - 1)
+    rhs = graded_piece(W, d, ring, 0).reshape(-1)
+    sol = linalg.solve_particular(_skew_map(v, d - 1).T, rhs, field)
     if sol is None:
         raise ContractError("no skew witness exists; input sequence cannot be regular")
-    upper = []
-    for p in range(len(pairs)):
-        terms = {}
-        for s, mono in enumerate(src):
-            c = sol[p * len(src) + s]
-            if not field.is_zero(c):
-                terms[mono] = c
-        upper.append(ring.from_terms(terms))
+    k = len(src)
+    upper = [ring.from_terms(dict(zip(src, sol[p * k : p * k + k]))) for p in range(m * (m - 1) // 2)]
     witness = _skew_from_upper(ring, m, upper)
     # mandatory post-check, exact
     recovered = witness.apply(list(forms))
@@ -218,8 +180,7 @@ def ambiguity_dim(v: RegularSequence, d: int) -> int:
         raise ContractError("ambiguity_dim requires a verified regular sequence")
     if any(f.degree() != 1 for f in v.forms):
         raise ContractError("ambiguity_dim requires linear forms")
-    if d < 2:
+    if d < 2 or len(v) < 2:
         return 0
-    rows, pairs, src = _skew_system(v.forms, d - 2)
-    ncols = len(pairs) * len(src)
-    return ncols - linalg.rank(rows, v.ring.field)
+    skew_map = _skew_map(v, d - 2)
+    return skew_map.shape[0] - linalg.rank(skew_map, v.ring.field)

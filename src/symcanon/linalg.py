@@ -269,7 +269,7 @@ def solve_columns(
 
 def solve_particular(rows: Matrix, rhs: Sequence[Scalar], field: FieldSpec) -> Optional[List[Scalar]]:
     """One solution of A x = b with free variables set to zero, or None."""
-    if not rows:
+    if len(rows) == 0:
         return None if any(not field.is_zero(b) for b in rhs) else []
     sols, bad = solve_columns(rows, [rhs], field)
     return None if bad is not None else sols[0]

@@ -29,7 +29,7 @@ from . import linalg, univariate
 from .errors import ContractError
 from .fields import FieldSpec, Scalar
 from .ideals import GBConfig, DEFAULT_GB_CONFIG
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, graded_piece
 from .tableau import (
     OpMove,
     ScalarTableau,
@@ -42,7 +42,6 @@ from .tableau import (
     mirror_pair_word,
     move_word_matrix,
     rows_move,
-    sum_field,
     symplectic_defect,
 )
 
@@ -140,10 +139,8 @@ def scalar_orbit_reduce(M: ScalarTableau) -> OrbitReduction:
     for i in range(width):
         for j in range(width):
             S2[i][width + j] = C[i][j]
-    b2 = [[field.add(
-        b1[i][j],
-        sum_field(field, (field.mul(a1[i][k], C[k][j]) for k in range(width))),
-    ) for j in range(width)] for i in range(n)]
+    a1C = linalg.matmul(a1, C, field)
+    b2 = [[field.add(b1[i][j], a1C[i][j]) for j in range(width)] for i in range(n)]
     a2 = a1
 
     # phase 3: reduce the residual block rows r..n-1, cols r..width-1
@@ -357,15 +354,6 @@ class NormalFormK11:
     witness_moves: List[OpMove]
 
 
-def _row_coefficients(row: Sequence[Polynomial], ring: PolyRing) -> List[List[Scalar]]:
-    out = []
-    for f in row:
-        out.append(
-            [f.coefficient(tuple(int(k == i) for k in range(ring.nvars))) for i in range(ring.nvars)]
-        )
-    return out
-
-
 def _special_directions(T: SymmetricTableau) -> List[Tuple[Scalar, Scalar]]:
     """The directions [u1:u2] whose generalized row of A' has rank <= 4,
     i.e. cuts one of the degeneracy points: common roots of the six 5x5
@@ -375,8 +363,8 @@ def _special_directions(T: SymmetricTableau) -> List[Tuple[Scalar, Scalar]]:
     if field.characteristic and field.characteristic < 7:
         raise ContractError("direction search interpolates a binary quintic; needs char 0 or >= 7")
     aprime = erase_first_row(T)
-    C1 = _row_coefficients(aprime[0], ring)  # 6 x 5
-    C2 = _row_coefficients(aprime[1], ring)
+    C1 = graded_piece(aprime[0], 1, ring, 0).tolist()  # 6 x 5
+    C2 = graded_piece(aprime[1], 1, ring, 0).tolist()
     # each 5-row subset of the 6x5 pencil C1 + t C2 has a determinant of
     # degree <= 5 in t, recovered exactly from 6 evaluation points; the
     # direction at infinity [0:1] is checked by a direct rank computation
@@ -446,8 +434,8 @@ def _interpolate(xs: List[Scalar], ys: List[Scalar], field: FieldSpec) -> List[S
 
 
 def _kernel_of_row(row: Sequence[Polynomial], ring: PolyRing) -> List[List[Scalar]]:
-    coeffs = _row_coefficients(row, ring)  # 6 x 5; kernel wants c with sum c_j row_j = 0
-    return linalg.nullspace(linalg.transpose(coeffs), ring.field, ncols=6)
+    coeffs = graded_piece(row, 1, ring, 0)  # 6 x 5; kernel wants c with sum c_j row_j = 0
+    return linalg.nullspace(coeffs.T.tolist(), ring.field, ncols=6)
 
 
 def _j_pairing(u: Sequence[Scalar], v: Sequence[Scalar], field: FieldSpec) -> Scalar:

@@ -13,11 +13,11 @@ Koszul ambiguity summands live from the realized sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import ContractError
 from .fields import GF, DEFAULT_PRIME, DetRng, FieldSpec, Scalar
-from .koszul import RegularSequence, ambiguity_dim, is_regular_sequence
+from .koszul import RegularSequence, SkewWitness, _skew_from_upper, ambiguity_dim, is_regular_sequence
 from .poly import Polynomial, PolyRing, graded_basis
 from .tableau import SymmetricTableau
 
@@ -87,22 +87,6 @@ def sample(seed: int, field: FieldSpec = None) -> ParameterPoint:
     return point
 
 
-def _skew_apply(entries: Dict[Tuple[int, int], Polynomial], size: int, vec: List[Polynomial], ring: PolyRing) -> List[Polynomial]:
-    """(S v)_k for the skew matrix with given strict-upper entries, 1-based."""
-    out = []
-    for k in range(1, size + 1):
-        s = ring.zero()
-        for l in range(1, size + 1):
-            if l == k:
-                continue
-            if k < l:
-                s = s + entries[(k, l)] * vec[l - 1]
-            else:
-                s = s - entries[(l, k)] * vec[l - 1]
-        out.append(s)
-    return out
-
-
 def realize(point: ParameterPoint) -> SymmetricTableau:
     """Build the normal-form K2 = 11 tableau from a parameter point.
 
@@ -170,10 +154,15 @@ def realize(point: ParameterPoint) -> SymmetricTableau:
     L_entries[(2, 4)] = -M34 + srow(3)
     L_entries[(2, 5)] = M45 + srow(4)
 
+    def skew(entries: Dict[Tuple[int, int], Polynomial], size: int) -> SkewWitness:
+        # the skew matrix with these strict-upper entries, 1-based
+        upper = [entries[(k, l)] for k in range(1, size + 1) for l in range(k + 1, size + 1)]
+        return _skew_from_upper(ring, size, upper)
+
     a_seq = [a4, -a2, a3, b4, b3]
     aprime_seq = [a4, a3, b4, b2, b3]
-    La = _skew_apply(L_entries, 5, a_seq, ring)
-    Ma = _skew_apply(point.M, 5, aprime_seq, ring)
+    La = skew(L_entries, 5).apply(a_seq)
+    Ma = skew(point.M, 5).apply(aprime_seq)
 
     # (12): (Q14, P13+Q24, -P23, Q34, P34) = L a
     # (13): (Q12, P12, -Q23, P13+Q24, P14) = M a'
@@ -194,8 +183,8 @@ def realize(point: ParameterPoint) -> SymmetricTableau:
 
     v1 = [a2, a3, b2, b3]
     v2 = [a4, -a2, b4, -b2]
-    W1 = _skew_apply(P, 4, v1, ring)  # (-B2, -B3, A2, A3)
-    W2 = _skew_apply(Q, 4, v2, ring)  # (-B1, -B2, A1, A2)
+    W1 = skew(P, 4).apply(v1)  # (-B2, -B3, A2, A3)
+    W2 = skew(Q, 4).apply(v2)  # (-B1, -B2, A1, A2)
 
     B2, B3, A2, A3 = -W1[0], -W1[1], W1[2], W1[3]
     B1, B2_bis, A1, A2_bis = -W2[0], -W2[1], W2[2], W2[3]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import comb
 from operator import add, mul, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -516,34 +516,6 @@ def graded_basis(ring: PolyRing, d: int) -> List[Monomial]:
     return out
 
 
-def coeff_matrix(
-    polys: Iterable[Polynomial], d: int, ring: Optional[PolyRing] = None
-) -> Tuple[List[List[Scalar]], List[Monomial]]:
-    """Rows indexed by the polynomials, columns by graded_basis(d).
-
-    Inputs must be homogeneous of degree d (zero allowed).
-    """
-    polys = list(polys)
-    if ring is None:
-        if not polys:
-            raise ContractError("need a ring or at least one polynomial")
-        ring = polys[0].ring
-    basis = graded_basis(ring, d)
-    col = {m: j for j, m in enumerate(basis)}
-    zero = ring.field.zero()
-    rows = []
-    for f in polys:
-        if f.ring != ring:
-            raise RingMismatchError("coeff_matrix inputs must share one ring")
-        if not f.is_zero() and f.homogeneous_degree() != d:
-            raise ContractError(f"input not homogeneous of degree {d}: {f}")
-        row = [zero] * len(basis)
-        for m, c in f.terms.items():
-            row[col[m]] = c
-        rows.append(row)
-    return rows, basis
-
-
 def graded_piece(
     gens: Sequence[Polynomial], d: int, ring: PolyRing, mult_degree: Optional[int] = None
 ) -> np.ndarray:
@@ -591,3 +563,33 @@ def graded_piece(
             block[np.arange(len(mults))[:, None], cols] = np.array(list(g.terms.values()), dtype=dtype)
         blocks.append(block)
     return np.vstack(blocks)
+
+
+def graded_map(
+    mat: Sequence[Sequence[Polynomial]], target_degrees: Sequence[int], ring: PolyRing, src_degree: int
+) -> np.ndarray:
+    """Matrix of the module map ``mat`` from degree ``src_degree`` of the
+    free source: rows (source component c, monomial of degree src_degree),
+    columns (target component t, graded_basis(ring, target_degrees[t])).
+    Entry mat[t][c] is homogeneous of degree target_degrees[t] - src_degree
+    or zero.  The blocks are graded_piece(mat[t], ...) side by side."""
+    return np.hstack([graded_piece(row, d, ring, src_degree) for row, d in zip(mat, target_degrees)])
+
+
+def poly_matmul(
+    a: Sequence[Sequence[Polynomial]], b: Sequence[Sequence[Polynomial]], ring: PolyRing
+) -> List[List[Polynomial]]:
+    """The matrix product a * b; each entry sums a[i][k] * b[k][j] in
+    increasing k, starting from zero."""
+    if any(len(row) != len(b) for row in a):
+        raise ContractError("matrix product: inner dimensions differ")
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            s = ring.zero()
+            for k in range(len(b)):
+                s = s + row[k] * b[k][j]
+            out_row.append(s)
+        out.append(out_row)
+    return out

@@ -25,26 +25,9 @@ from .ideals import (
     dimension,
     saturate,
 )
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, poly_matmul
 
 PolyMatrix = List[List[Polynomial]]
-
-
-def _matmul_poly(a: PolyMatrix, b: PolyMatrix, ring: PolyRing) -> PolyMatrix:
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            s = ring.zero()
-            for k in range(len(b)):
-                s = s + row[k] * b[k][j]
-            out_row.append(s)
-        out.append(out_row)
-    return out
-
-
-def _transpose(a: PolyMatrix) -> PolyMatrix:
-    return [list(col) for col in zip(*a)]
 
 
 def check_symmetry(
@@ -56,8 +39,8 @@ def check_symmetry(
     row-major order, 1-based.  Degree layout is not examined here, so scalar
     toys can be checked too.
     """
-    left = _matmul_poly(alpha, _transpose(beta), ring)
-    right = _matmul_poly(beta, _transpose(alpha), ring)
+    left = poly_matmul(alpha, linalg.transpose(beta), ring)
+    right = poly_matmul(beta, linalg.transpose(alpha), ring)
     m = len(alpha)
     for i in range(m):
         for j in range(m):
@@ -423,7 +406,7 @@ def degeneracy_scheme(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG)
         return DegeneracyScheme(sat, False, None, None)
     if sat.contains_one():
         return DegeneracyScheme(sat, True, None, 0, 0)
-    dim = dimension(sat)
+    dim = dimension(sat, config=config)
     if dim > 1:
         return DegeneracyScheme(sat, False, None, None)
     analysis = _zero_dim_saturated(sat)
@@ -446,12 +429,11 @@ class ScalarTableau:
             len(r) != n + 1 for r in b
         ):
             raise ContractError("scalar tableau blocks must be n x (n+1)")
-        field = ring.field
+        lhs = linalg.matmul(a, linalg.transpose(b), ring.field)
+        rhs = linalg.matmul(b, linalg.transpose(a), ring.field)
         for i in range(n):
             for j in range(n):
-                lhs = sum_field(field, (field.mul(a[i][k], b[j][k]) for k in range(n + 1)))
-                rhs = sum_field(field, (field.mul(b[i][k], a[j][k]) for k in range(n + 1)))
-                if lhs != rhs:
+                if lhs[i][j] != rhs[i][j]:
                     raise ContractError(f"scalar symmetry a*b^t = b*a^t fails at ({i + 1},{j + 1})")
         self.ring = ring
         self.n = n
@@ -497,10 +479,3 @@ class ScalarTableau:
             and self.a == other.a
             and self.b == other.b
         )
-
-
-def sum_field(field, items) -> Scalar:
-    total = field.zero()
-    for x in items:
-        total = field.add(total, x)
-    return total

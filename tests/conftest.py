@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from symcanon.errors import ContractError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.koszul import RegularSequence, solve_skew
 from symcanon.paramgen import realize, sample
@@ -99,3 +100,78 @@ def k2_10_fixture(field, seed=4):
     alpha = [[A1, A2], [a1, a2]]
     beta = [[B1, B2], [b1, b2]]
     return SymmetricTableau(ring, alpha, beta)
+
+
+# -- earlier builders, kept as oracles -------------------------------------------
+
+
+def coeff_matrix(polys, d, ring=None):
+    """Rows indexed by the polynomials, columns by graded_basis(d); inputs
+    homogeneous of degree d (zero allowed).  The earlier list builder."""
+    polys = list(polys)
+    if ring is None:
+        if not polys:
+            raise ContractError("need a ring or at least one polynomial")
+        ring = polys[0].ring
+    basis = graded_basis(ring, d)
+    col = {m: j for j, m in enumerate(basis)}
+    rows = []
+    for f in polys:
+        if f.ring != ring:
+            raise RingMismatchError("coeff_matrix inputs must share one ring")
+        if not f.is_zero() and f.homogeneous_degree() != d:
+            raise ContractError(f"input not homogeneous of degree {d}: {f}")
+        row = [ring.field.zero()] * len(basis)
+        for m, c in f.terms.items():
+            row[col[m]] = c
+        rows.append(row)
+    return rows, basis
+
+
+def skew_system(v, entry_degree):
+    """The earlier coefficient matrix of (S, v) -> S*v on skew matrices with
+    entries of the given degree, built from polynomial products.  Columns
+    are (pair index, source monomial); rows are (component, target
+    monomial)."""
+    ring = v[0].ring
+    field = ring.field
+    m = len(v)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    src = graded_basis(ring, entry_degree)
+    tgt = graded_basis(ring, entry_degree + 1)
+    tgt_pos = {mono: t for t, mono in enumerate(tgt)}
+    ncols = len(pairs) * len(src)
+    rows = [[field.zero()] * ncols for _ in range(m * len(tgt))]
+    for p, (i, j) in enumerate(pairs):
+        for s, mono in enumerate(src):
+            col = p * len(src) + s
+            base = ring.monomial(mono)
+            # S_ij contributes +x^mono * v_j to component i and -x^mono * v_i to j
+            for comp, sign_form in ((i, base * v[j]), (j, -(base * v[i]))):
+                for mm, cc in sign_form.terms.items():
+                    r = comp * len(tgt) + tgt_pos[mm]
+                    rows[r][col] = field.add(rows[r][col], cc)
+    return rows, pairs, src
+
+
+def row_coefficients(row, ring):
+    """The earlier coefficient rows of linear forms, one per form, columns
+    by variable."""
+    return [
+        [f.coefficient(tuple(int(k == i) for k in range(ring.nvars))) for i in range(ring.nvars)]
+        for f in row
+    ]
+
+
+def matmul_poly(a, b, ring):
+    """The earlier polynomial-matrix product."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            s = ring.zero()
+            for k in range(len(b)):
+                s = s + row[k] * b[k][j]
+            out_row.append(s)
+        out.append(out_row)
+    return out

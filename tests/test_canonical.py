@@ -20,9 +20,10 @@ from symcanon.canonical import (
     tables_agree,
     verify_instance,
 )
-from symcanon.errors import ContractError
+from symcanon.errors import BudgetExceededError, ContractError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
+    GBConfig,
     Ideal,
     codimension,
     dimension,
@@ -33,10 +34,10 @@ from symcanon.ideals import (
 )
 from symcanon.koszul import RegularSequence, koszul_differential
 from symcanon import linalg
-from symcanon.poly import PolyRing, coeff_matrix, graded_basis, graded_piece, parse_poly
+from symcanon.poly import PolyRing, graded_basis, graded_piece, parse_poly
 from symcanon.tableau import SymmetricTableau, degeneracy_scheme, fitting_ideal
 
-from conftest import k2_10_fixture, random_linear
+from conftest import coeff_matrix, k2_10_fixture, random_linear
 
 
 def test_resolution_shapes_and_composite(golden_tableau):
@@ -77,6 +78,13 @@ def test_acyclicity_golden(golden_tableau):
     assert rep.passed
     assert rep.codim_first == 2 and rep.codim_second == 2
     assert rep.rank_first_cert.minor is not None
+
+
+def test_acyclicity_honours_the_groebner_budget(golden_tableau):
+    # the codimension runs of the grade condition take the caller's budget
+    R = build_resolution(golden_tableau)
+    with pytest.raises(BudgetExceededError):
+        complex_acyclicity(R.first_map, R.second_map, R.ring, R.n + 1, config=GBConfig(degree_budget=2))
 
 
 def test_acyclicity_koszul_test_mode():

@@ -97,10 +97,10 @@ def test_report_json_roundtrip(golden_tableau):
 
 def test_cli_generate_verify_pipeline(tmp_path, capsys):
     tab = str(tmp_path / "t.json")
-    rep = str(tmp_path / "r.json")
+    rep = tmp_path / "r.json"
     assert main(["generate", "--k2", "11", "--seed", "7", "-o", tab]) == 0
-    assert main(["verify", tab, "--report", rep]) == 0
-    report = json.loads(open(rep).read())
+    assert main(["verify", tab, "--report", str(rep)]) == 0
+    report = json.loads(rep.read_text())
     assert report["overall"] == "PASS"
 
 
@@ -142,7 +142,8 @@ def test_cli_exit_codes(tmp_path, golden_file, capsys):
     assert main(["verify", missing]) == 2
     # a failing instance exits 1
     bad = tmp_path / "bad.json"
-    data = json.loads(open(golden_file).read())
+    with open(golden_file) as fh:
+        data = json.load(fh)
     data["beta"] = data["alpha"]  # alpha = beta: symmetric but fails acyclicity
     bad.write_text(dumps(data))
     assert main(["verify", str(bad)]) == 1

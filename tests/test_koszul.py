@@ -10,7 +10,7 @@ from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.koszul import (
     RegularSequence,
     _skew_from_upper,
-    _skew_system,
+    _skew_map,
     ambiguity_dim,
     is_regular_sequence,
     koszul_differential,
@@ -19,7 +19,7 @@ from symcanon.koszul import (
 from symcanon.linalg import rank
 from symcanon.poly import PolyRing, parse_poly
 
-from conftest import random_homogeneous, random_linear
+from conftest import random_homogeneous, random_linear, skew_system
 
 
 @pytest.fixture(scope="module")
@@ -133,8 +133,21 @@ def test_solve_skew_soundness_and_ambiguity(ring):
         ]
         assert all(r.is_zero() for r in resid)
     # the solution space of the homogeneous system has dimension amb = 19
-    rows, pairs, src = _skew_system(list(seq.forms), 2)
+    rows, pairs, src = skew_system(list(seq.forms), 2)
     assert len(pairs) * len(src) - rank(rows, ring.field) == amb == 19
+
+
+@pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ])
+def test_skew_map_matches_earlier_system(field):
+    # the graded_map of the negated d_1 is the transpose of the earlier
+    # product-built system
+    ring = PolyRing(field=field)
+    rng = DetRng(21)
+    for length in (2, 4, 5):
+        seq = RegularSequence.verify([random_linear(ring, rng) for _ in range(length)])
+        for entry_degree in (0, 1, 2):
+            rows, _, _ = skew_system(list(seq.forms), entry_degree)
+            assert _skew_map(seq, entry_degree).T.tolist() == rows, (length, entry_degree)
 
 
 def test_ambiguity_paper_values(ring):
@@ -164,7 +177,7 @@ def test_ambiguity_length2_is_zero(ring):
 def test_ambiguity_euler_cross_check(ring):
     # dim ker(d1)_d = dim im(d2)_d two ways: rank of the d2 coefficient
     # matrix vs dim source - dim ker(d2)_d
-    from symcanon.poly import coeff_matrix, graded_basis
+    from symcanon.poly import graded_basis
 
     for length in (4, 5):
         seq = RegularSequence.verify(ring.gens()[:length])

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symcanon.errors import ContractError, DegreeOverflowError, ParseError, RingMismatchError
-from symcanon.fields import DEFAULT_PRIME, GF, QQ
+from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.linalg import rank
 from symcanon.poly import (
     PolyRing,
     Polynomial,
-    coeff_matrix,
     graded_basis,
     graded_piece,
     parse_poly,
+    poly_matmul,
     poly_to_string,
 )
+
+from conftest import coeff_matrix, matmul_poly, random_homogeneous, random_linear, row_coefficients
 
 
 @pytest.fixture(scope="module")
@@ -98,25 +100,25 @@ def test_graded_basis_counts(R):
 
 def test_coeff_matrix_examples(R):
     x = R.gens()
-    rows, _ = coeff_matrix([x[0], x[1]], 1)
+    rows = graded_piece([x[0], x[1]], 1, R, 0)
     assert rank(rows, QQ) == 2
-    rows, _ = coeff_matrix([x[0] + x[1], x[0] + x[1]], 1)
+    rows = graded_piece([x[0] + x[1], x[0] + x[1]], 1, R, 0)
     assert rank(rows, QQ) == 1
-    rows, _ = coeff_matrix([x[0] * x[0], x[0] * x[1], x[1] * x[1]], 2)
+    rows = graded_piece([x[0] * x[0], x[0] * x[1], x[1] * x[1]], 2, R, 0)
     assert len(rows) == 3 and len(rows[0]) == 15
     assert rank(rows, QQ) == 3
 
 
 def test_coeff_matrix_rejects_inhomogeneous(R):
     with pytest.raises(ContractError):
-        coeff_matrix([P("x0 + x1^2", R)], 2)
+        graded_piece([P("x0 + x1^2", R)], 2, R, 0)
 
 
 def test_coeff_matrix_rank_permutation_invariant(R):
     x = R.gens()
     polys = [x[0] * x[1], x[2] * x[3] - x[0] * x[0], x[4] * x[4]]
-    rows1, _ = coeff_matrix(polys, 2)
-    rows2, _ = coeff_matrix(list(reversed(polys)), 2)
+    rows1 = graded_piece(polys, 2, R, 0)
+    rows2 = graded_piece(list(reversed(polys)), 2, R, 0)
     assert rank(rows1, QQ) == rank(rows2, QQ)
 
 
@@ -171,3 +173,25 @@ def test_mul_degree_additive_over_domain(R):
     f = P("x0^2 + x1*x2", R)
     g = P("x3^3 - x4^3", R)
     assert (f * g).degree() == f.degree() + g.degree()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)])
+def test_poly_matmul_matches_earlier_product(field):
+    # same sums in the same order: equal entries with equal term order
+    ring = PolyRing(field=field)
+    rng = DetRng(5)
+    for rows, inner, cols in ((3, 6, 3), (1, 4, 1), (6, 4, 2)):
+        a = [[random_homogeneous(ring, rng, 1 + (i + k) % 3) for k in range(inner)] for i in range(rows)]
+        b = [[random_homogeneous(ring, rng, 2) if (k + j) % 4 else ring.zero() for j in range(cols)] for k in range(inner)]
+        new, old = poly_matmul(a, b, ring), matmul_poly(a, b, ring)
+        assert [[list(e.terms.items()) for e in r] for r in new] == [[list(e.terms.items()) for e in r] for r in old]
+    with pytest.raises(ContractError):
+        poly_matmul(a, a, ring)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)])
+def test_linear_rows_match_earlier_coefficients(field):
+    ring = PolyRing(field=field)
+    rng = DetRng(6)
+    row = [random_linear(ring, rng) for _ in range(5)] + [ring.zero()]
+    assert graded_piece(row, 1, ring, 0).tolist() == row_coefficients(row, ring)
