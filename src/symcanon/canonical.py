@@ -165,7 +165,10 @@ class RankCertificate:
     minor: Optional[Polynomial]
 
 
-def rank_with_certificate(M: PolyMatrix, ring: PolyRing, want: int, seed: int = 11) -> RankCertificate:
+_RANK_SEED = 11
+
+
+def rank_with_certificate(M: PolyMatrix, ring: PolyRing, want: int) -> RankCertificate:
     """Generic rank of a polynomial matrix: seeded point evaluations propose
     a pivot minor, which is then certified by a symbolic nonzero determinant;
     exhaustive minor scan as fallback."""
@@ -173,7 +176,7 @@ def rank_with_certificate(M: PolyMatrix, ring: PolyRing, want: int, seed: int = 
     field = ring.field
     memo: dict = {}
     for attempt in range(4):
-        rng = DetRng(seed + attempt)
+        rng = DetRng(_RANK_SEED + attempt)
         point = [rng.scalar(field) for _ in range(ring.nvars)]
         scalar = [[entry.evaluate(point) for entry in row] for row in M]
         red, pivots = linalg.rref(linalg.transpose(scalar), field)
@@ -314,27 +317,15 @@ def conductor_ideal(
 # -- multiplication table --------------------------------------------------------
 
 
-def _piece_echelon(pieces: Dict[int, linalg.Echelon], gens: Sequence[Polynomial], d: int, ring: PolyRing) -> linalg.Echelon:
-    """The reduced echelon of the degree-d piece of the ideal (gens), kept
-    in ``pieces`` by degree."""
-    if d not in pieces:
-        pieces[d] = linalg.Echelon(graded_piece(gens, d, ring), ring.field)
-    return pieces[d]
-
-
-def graded_membership(
-    f: Polynomial, gens: Sequence[Polynomial], ring: PolyRing, pieces: Optional[Dict[int, linalg.Echelon]] = None
-) -> bool:
-    """Exact degree-piece membership of homogeneous f in the ideal (gens),
-    by reduction against the reduced echelon of the ideal's piece in deg f.
-    ``pieces`` keeps those echelons by degree for one generator list."""
+def graded_membership(f: Polynomial, ideal: Ideal) -> bool:
+    """Exact membership of homogeneous f in the ideal, by reduction against
+    the reduced echelon of the ideal's piece in deg f."""
     if f.is_zero():
         return True
     d = f.homogeneous_degree()
     if d is None:
         raise ContractError("graded membership requires homogeneous input")
-    echelon = _piece_echelon({} if pieces is None else pieces, gens, d, ring)
-    return echelon.contains(graded_piece([f], d, ring, 0)[0])
+    return ideal.piece(d).contains(graded_piece([f], d, ideal.ring, 0)[0])
 
 
 @dataclass
@@ -344,8 +335,8 @@ class MultiplicationTable:
     The generators are represented by Cramer fractions v_k = N_k / D with D
     the determinant of the chosen invertible submatrix of A'; index 0 means
     the unit.  ``entries[(i, j)]`` holds (c0, [c_1..c_n]) for i <= j.
-    ``pieces`` holds the reduced echelons of I_{n+1}(A) by degree that
-    memberships reduce against, starting with degree 2n + 4.
+    Memberships reduce against ``surface_ideal.piece``, the reduced echelons
+    of I_{n+1}(A) by degree.
     """
 
     n: int
@@ -354,10 +345,13 @@ class MultiplicationTable:
     numerators: List[Polynomial]  # N_0 = D, N_1..N_n
     entries: Dict[Tuple[int, int], Tuple[Polynomial, List[Polynomial]]]
     surface_ideal: Ideal
-    pieces: Dict[int, linalg.Echelon]
-    # by residue degree d: the rows g * x^m of degree d for g = D, N_1..N_n,
-    # stacked, with the number of rows of each g
-    multiples: Dict[int, Tuple[np.ndarray, List[int]]] = dataclass_field(
+    # by k: N_k, R_1k..R_nk, with R_lk the residue of entry (l, k)
+    factors: Dict[int, List[Polynomial]] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    # by (k, residue degree d): the rows g * x^m of degree d for the factors
+    # g of k, stacked, with the number of rows of each g
+    multiples: Dict[Tuple[int, int], Tuple[np.ndarray, List[int]]] = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -371,32 +365,38 @@ class MultiplicationTable:
             out = out + c * N
         return out
 
-    def residue_vector(self, c0: Polynomial, cs: Sequence[Polynomial]) -> Tuple[Optional[int], np.ndarray]:
-        """Degree d and coefficient vector over graded_basis(ring, d) of
-        combination_residue(c0, cs), as one product: the coefficients of c0,
-        c_1..c_n against the stacked rows of D, N_1..N_n times the monomials
-        of the matching degrees.  d is None for the zero combination."""
+    def residue_vector(self, c0: Polynomial, cs: Sequence[Polynomial], k: int) -> Tuple[Optional[int], np.ndarray]:
+        """Degree d and coefficient vector over graded_basis(ring, d) of the
+        residue of (c0 + sum_l c_l v_l) * v_k, which is c0 N_k + sum_l c_l R_lk
+        (combination_residue(c0, cs) for k = 0, as R_l0 = N_l), as one
+        product: the coefficients of c0, c_1..c_n against the stacked rows of
+        N_k, R_1k..R_nk times the monomials of the matching degrees.  For the
+        zero product d is None and the vector is a scalar zero."""
         ring = self.denominator.ring
         combo = [c0, *cs]
         if len(combo) != len(self.numerators):
             raise ContractError(f"a combination needs c0 and {self.n} coefficients")
-        gdeg = [g.degree() for g in self.numerators]
+        if k not in self.factors:
+            self.factors[k] = self.numerators if k == 0 else [self.numerators[k]] + [
+                self.combination_residue(*self.expansion(l, k)) for l in range(1, self.n + 1)
+            ]
+        gdeg = [g.degree() for g in self.factors[k]]
         live = [not c.is_zero() and e >= 0 for c, e in zip(combo, gdeg)]
         degrees = {c.degree() + e for c, e, on in zip(combo, gdeg, live) if on}
         if len(degrees) > 1:
             raise ContractError("cokernel membership requires a homogeneous combination")
         if not degrees:
-            return None, np.zeros(0, dtype=np.int64)
+            return None, np.zeros((), dtype=np.int64)
         d = degrees.pop()
-        if d not in self.multiples:
+        if (k, d) not in self.multiples:
             blocks = [
-                graded_piece([g] if e <= d else [], d, ring, d - e) for g, e in zip(self.numerators, gdeg)
+                graded_piece([g] if e <= d else [], d, ring, d - e) for g, e in zip(self.factors[k], gdeg)
             ]
-            self.multiples[d] = (np.vstack(blocks), [len(b) for b in blocks])
-        stacked, sizes = self.multiples[d]
+            self.multiples[(k, d)] = (np.vstack(blocks), [len(b) for b in blocks])
+        stacked, sizes = self.multiples[(k, d)]
         coefs = [
-            graded_piece([c], c.degree(), ring, 0)[0] if on else np.zeros(k, stacked.dtype)
-            for c, k, on in zip(combo, sizes, live)
+            graded_piece([c], c.degree(), ring, 0)[0] if on else np.zeros(size, stacked.dtype)
+            for c, size, on in zip(combo, sizes, live)
         ]
         return d, linalg.vecmat(np.concatenate(coefs), stacked, ring.field)
 
@@ -440,7 +440,7 @@ def multiplication_table(
     for cols in candidates:
         mprime = [[full[i][c] for c in cols] for i in range(1, n + 1)]
         d = matrix_minor(mprime, tuple(range(n)), tuple(range(n)), ring)
-        if not d.is_zero() and not graded_membership(d, surrogate.generators, ring):
+        if not d.is_zero() and not graded_membership(d, surrogate):
             chosen = (tuple(cols), mprime, d)
             break
     if chosen is None:
@@ -478,13 +478,12 @@ def multiplication_table(
         cs = [ring.from_terms(dict(zip(basis2, sol[o:]))) for o in offsets]
         entries[key] = (ring.from_terms(dict(zip(basis4, sol))), cs)
 
-    pieces = {deg_total: linalg.Echelon(span, field)}
-    table = MultiplicationTable(n, cols, D, numerators, entries, surrogate, pieces)
+    table = MultiplicationTable(n, cols, D, numerators, entries, surrogate)
 
     # exact re-verification of every identity modulo I_{n+1}(A)
     for (i, j), (c0, cs) in entries.items():
         residue = products[(i, j)] - table.combination_residue(c0, cs) * D
-        if not graded_membership(residue, surrogate.generators, ring, pieces):
+        if not graded_membership(residue, surrogate):
             raise ContractError(f"multiplication identity for ({i},{j}) fails mod I_{{n+1}}(A)")
     return table
 
@@ -493,37 +492,21 @@ def is_zero_in_cokernel(table: MultiplicationTable, c0: Polynomial, cs: Sequence
     """Whether c0 + sum c_k v_k represents 0: its cleared-denominator
     residue, as a coefficient vector, lies in the echelon of I_{n+1}(A) in
     the residue's degree."""
-    d, vec = table.residue_vector(c0, cs)
-    if d is None:
-        return True
-    ideal = table.surface_ideal
-    return _piece_echelon(table.pieces, ideal.generators, d, ideal.ring).contains(vec)
+    d, vec = table.residue_vector(c0, cs, 0)
+    return d is None or table.surface_ideal.piece(d).contains(vec)
 
 
 def associativity_check(table: MultiplicationTable, i: int, j: int, k: int) -> bool:
-    """(v_i v_j) v_k = v_i (v_j v_k) through cleared-denominator residues."""
-    n = table.n
-    ring = table.denominator.ring
-
-    def expand_product_with(vk: int, c0: Polynomial, cs: Sequence[Polynomial]):
-        # (c0 + sum_l c_l v_l) * v_k expanded through the table
-        e0 = ring.zero()
-        es = [ring.zero()] * n
-        es[vk - 1] = es[vk - 1] + c0
-        for l in range(1, n + 1):
-            t0, ts = table.expansion(l, vk)
-            e0 = e0 + cs[l - 1] * t0
-            for mth in range(n):
-                es[mth] = es[mth] + cs[l - 1] * ts[mth]
-        return e0, es
-
-    c0_ij, cs_ij = table.expansion(i, j)
-    left0, lefts = expand_product_with(k, c0_ij, cs_ij)
-    c0_jk, cs_jk = table.expansion(j, k)
-    right0, rights = expand_product_with(i, c0_jk, cs_jk)
-    diff0 = left0 - right0
-    diffs = [a - b for a, b in zip(lefts, rights)]
-    return is_zero_in_cokernel(table, diff0, diffs)
+    """(v_i v_j) v_k = v_i (v_j v_k): the residues of v_i v_j times v_k and
+    of v_j v_k times v_i, as coefficient vectors, differ by a vector in the
+    echelon of I_{n+1}(A) in their degree."""
+    d, left = table.residue_vector(*table.expansion(i, j), k)
+    e, right = table.residue_vector(*table.expansion(j, k), i)
+    if None not in (d, e) and d != e:
+        raise ContractError("cokernel membership requires a homogeneous combination")
+    diff = left - right
+    # equal residues need no echelon, which in a new degree is an elimination
+    return not diff.any() or table.surface_ideal.piece(e if d is None else d).contains(diff)
 
 
 def tables_agree(t1: MultiplicationTable, t2: MultiplicationTable) -> bool:
@@ -584,52 +567,31 @@ def graded_middle_exactness(
     if not field.characteristic:
         raise ContractError("graded exactness check runs over a prime field")
     pairs6 = len(psi)
+    ideal = Ideal(ring, relations)
     # composite must vanish modulo the relations
     composite_zero = True
     for entry in (e for row in poly_matmul(psi, phi, ring) for e in row):
-        if not entry.is_zero() and not graded_membership(entry, relations, ring):
+        if not graded_membership(entry, ideal):
             composite_zero = False
 
-    def ideal_piece(d: int) -> np.ndarray:
-        return graded_piece(relations, d, ring)
-
-    piece_ranks: Dict[int, int] = {}
-
-    def piece_rank(d: int) -> int:
-        if d not in piece_ranks:
-            piece_ranks[d] = linalg.rank(ideal_piece(d), field)
-        return piece_ranks[d]
-
     def block_diag_piece(d: int, ncomp: int) -> np.ndarray:
-        piece = ideal_piece(d)
-        dim = len(graded_basis(ring, d))
-        if piece.shape[0] == 0:
-            return np.zeros((0, ncomp * dim), dtype=np.int64)
-        blocks = []
-        for comp in range(ncomp):
-            block = np.zeros((piece.shape[0], ncomp * dim), dtype=np.int64)
-            block[:, comp * dim : (comp + 1) * dim] = piece
-            blocks.append(block)
-        return np.vstack(blocks)
+        return np.kron(np.eye(ncomp, dtype=np.int64), ideal.piece(d).rows)
 
     checked, kers, ims = [], [], []
     for d in range(degree_bound + 1):
         dim_t = len(graded_basis(ring, d))
-        rank_id = piece_rank(d)
+        rank_id = len(ideal.piece(d).pivots)
         dim_quot4 = 4 * (dim_t - rank_id)
         # kernel of psi on (O^4)_d
         k_rows = graded_map(psi, [d + entry_degree] * pairs6, ring, d)
-        b_next = block_diag_piece(d + entry_degree, pairs6)
-        stacked = np.vstack([k_rows, b_next]) if b_next.size or k_rows.size else k_rows
+        stacked = np.vstack([k_rows, block_diag_piece(d + entry_degree, pairs6)])
         # a block diagonal of copies of the ideal's piece has that many times its rank
-        rank_induced = linalg.rank(stacked, field) - pairs6 * piece_rank(d + entry_degree)
+        rank_induced = linalg.rank(stacked, field) - pairs6 * len(ideal.piece(d + entry_degree).pivots)
         ker_dim = dim_quot4 - rank_induced
         # image of phi in (O^4)_d
         if d >= entry_degree:
             p_rows = graded_map(phi, [d] * 4, ring, d - entry_degree)
-            b_here = block_diag_piece(d, 4)
-            stacked2 = np.vstack([p_rows, b_here]) if b_here.size or p_rows.size else p_rows
-            im_dim = linalg.rank(stacked2, field) - 4 * rank_id
+            im_dim = linalg.rank(np.vstack([p_rows, block_diag_piece(d, 4)]), field) - 4 * rank_id
         else:
             im_dim = 0
         checked.append(d)

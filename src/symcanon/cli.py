@@ -184,15 +184,17 @@ def _cmd_multiply(args) -> int:
 
 
 def _cmd_ledger(args) -> int:
-    led = ledger()
+    cfg = resolve_config(args)
+    led = ledger(cfg.seed, cfg.field)
     _write_text(args.output, dumps(led.to_json()))
     return EXIT_PASS if led.result == 38 else EXIT_FAIL
 
 
 def _cmd_check_generic(args) -> int:
     cfg = resolve_config(args)
-    p = cfg.field.characteristic or DEFAULT_PRIME
-    ok = generic_reflexivity_check(p=p, degree_bound=args.degree)
+    if not cfg.field.characteristic:
+        raise ContractError("the generic exactness check runs over a prime field, not Q")
+    ok = generic_reflexivity_check(p=cfg.field.characteristic, degree_bound=args.degree)
     _write_text(None, dumps({"exact_through_degree": args.degree, "passed": ok}))
     return EXIT_PASS if ok else EXIT_FAIL
 

@@ -2,9 +2,12 @@
 dimension, degree, and the zero-dimensional radicality test.
 
 Everything public here assumes homogeneous input; this matches the graded
-setting of the geometry and lets membership questions be answered by
-degree-truncated bases.  Auxiliary elimination variables carry weight 0, so
-the internal elimination runs remain homogeneous for the original grading.
+setting of the geometry.  A question about one degree d (membership, normal
+form, Hilbert function, standard monomials) is answered by the reduced
+echelon of the ideal's degree-d piece, ``Ideal.piece(d)``; Groebner bases
+answer the questions with no degree bound.  Auxiliary elimination variables
+carry weight 0, so the internal elimination runs remain homogeneous for the
+original grading.
 
 The saturation with respect to the irrelevant ideal follows the grevlex
 last-variable division rule (one basis per variable, then intersections);
@@ -18,7 +21,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import comb, gcd
+from math import gcd
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,7 +37,7 @@ from .orders import (
     grevlex_with_last,
     monomial_divides,
 )
-from .poly import EXPONENT_BOUND, Polynomial, PolyRing, graded_basis
+from .poly import EXPONENT_BOUND, Polynomial, PolyRing, graded_basis, graded_piece
 
 
 @dataclass
@@ -49,9 +52,10 @@ DEFAULT_GB_CONFIG = GBConfig()
 
 
 class Ideal:
-    """A homogeneous ideal given by generators, with cached reduced bases.
+    """A homogeneous ideal given by generators, with cached reduced bases
+    and pieces (see ``piece``).
 
-    The cache maps (order token, truncation degree) to a basis; a full
+    The basis cache maps (order token, truncation degree) to a basis; a full
     reduced basis is stored under truncation None and serves every
     truncated request.
     """
@@ -72,12 +76,23 @@ class Ideal:
         self.ring = ring
         self.generators: Tuple[Polynomial, ...] = tuple(gens)
         self._gb_cache: Dict[tuple, List[Polynomial]] = {}
+        self._pieces: Dict[int, linalg.Echelon] = {}
 
     def __repr__(self):
         return f"Ideal<{len(self.generators)} gens over {self.ring!r}>"
 
     def is_zero(self) -> bool:
         return not self.generators
+
+    def piece(self, d: int) -> linalg.Echelon:
+        """Reduced row echelon of the degree-d piece, over the columns
+        graded_basis(ring, d) in descending grevlex order (a Macaulay
+        matrix).  Its pivots are the leading monomials of the piece, its
+        other columns the standard monomials of degree d, and the residue
+        of a coefficient vector (``reduce``) is its grevlex normal form."""
+        if d not in self._pieces:
+            self._pieces[d] = linalg.Echelon(graded_piece(self.generators, d, self.ring), self.ring.field)
+        return self._pieces[d]
 
     def contains_one(self) -> bool:
         gb = groebner_basis(self, GREVLEX)
@@ -627,22 +642,17 @@ def multiplicity(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> int:
     return value
 
 
-def hilbert_function(I: Ideal, m: int, order: MonomialOrder = GREVLEX) -> int:
-    """dim of (ring/I)_m by counting standard monomials."""
-    ring = I.ring
-    if I.is_zero():
-        return comb(m + ring.nvars - 1, ring.nvars - 1)
-    return len(_standard_monomials(I, m, order))
+def hilbert_function(I: Ideal, m: int) -> int:
+    """dim of (ring/I)_m: the columns of I's degree-m piece that hold no
+    pivot."""
+    return len(graded_basis(I.ring, m)) - len(I.piece(m).pivots)
 
 
-def _standard_monomials(I: Ideal, m: int, order: MonomialOrder = GREVLEX) -> List[Monomial]:
-    gb = groebner_basis(I, order, cap=m)
-    lms = [g.leading_monomial(order) for g in gb]
-    return [
-        mono
-        for mono in graded_basis(I.ring, m)
-        if not any(monomial_divides(l, mono) for l in lms)
-    ]
+def _standard_monomials(I: Ideal, m: int) -> List[Monomial]:
+    """The monomials of degree m outside the leading-term ideal, in
+    graded_basis order: the non-pivot columns of I's degree-m piece."""
+    pivots = set(I.piece(m).pivots)
+    return [mono for j, mono in enumerate(graded_basis(I.ring, m)) if j not in pivots]
 
 
 @dataclass
@@ -653,30 +663,21 @@ class ZeroDimAnalysis:
     saturated: Ideal
 
 
-def _multiplication_operator(
-    sat: Ideal,
-    form: Polynomial,
-    source: List[Monomial],
-    target: List[Monomial],
-    order: MonomialOrder,
-):
+def _multiplication_operator(sat: Ideal, form: Polynomial, source: List[Monomial], target: List[Monomial]):
     """Matrix of x^m -> NF(x^m * form): rows the target basis, columns the
-    source basis, all source monomials of one degree."""
+    source basis, all source monomials of one degree m.  Each normal form is
+    the residue of the row x^m * form against sat's degree-(m+1) piece."""
     ring = sat.ring
-    field = ring.field
-    pk = _Packing(ring, order)
-    reducers = pk.reducers(sat, sum(source[0]) + form.degree())
-    row = {pk.monomial(m): i for i, m in enumerate(target)}
-    form_terms = pk.terms(form)
-    out = [[field.zero()] * len(source) for _ in target]
-    for j, mono in enumerate(source):
-        X = pk.monomial(mono)
-        for Y, c in _normal_form_terms([(X + Z, c) for Z, c in form_terms], reducers, pk.p, pk.guard):
-            out[row[Y]][j] = c
-    return out
+    m = sum(source[0])
+    scalar = int if ring.field.characteristic else Fraction
+    rows = graded_piece([form], m + 1, ring, m)
+    row = {mono: i for i, mono in enumerate(graded_basis(ring, m))}
+    col = {mono: i for i, mono in enumerate(graded_basis(ring, m + 1))}
+    residues = [sat.piece(m + 1).reduce(rows[row[mono]]) for mono in source]
+    return [[scalar(r[col[mono]]) for r in residues] for mono in target]
 
 
-def zero_dim_analysis(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG, attempts: int = 5) -> ZeroDimAnalysis:
+def zero_dim_analysis(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> ZeroDimAnalysis:
     """Reducedness and distinct-point count for a projective 0-dimensional I.
 
     Works entirely with graded pieces: in a stable degree the quotient by
@@ -686,10 +687,14 @@ def zero_dim_analysis(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG, attempts: 
       * g not squarefree        -> not reduced (for any u);
       * g squarefree, deg g = e -> reduced with e distinct points.
     """
-    return _zero_dim_saturated(saturate(I, config=config), attempts)
+    return _zero_dim_saturated(saturate(I, config=config))
 
 
-def _zero_dim_saturated(sat: Ideal, attempts: int = 5) -> ZeroDimAnalysis:
+# seeded (h, u) draws before degenerate eliminants are reported
+_ZERO_DIM_ATTEMPTS = 5
+
+
+def _zero_dim_saturated(sat: Ideal) -> ZeroDimAnalysis:
     """zero_dim_analysis of an ideal that is already saturated."""
     ring = sat.ring
     field = ring.field
@@ -716,19 +721,19 @@ def _zero_dim_saturated(sat: Ideal, attempts: int = 5) -> ZeroDimAnalysis:
 
     best_count = 0
     saw_non_squarefree = False
-    for attempt in range(attempts):
+    for attempt in range(_ZERO_DIM_ATTEMPTS):
         rng = DetRng(0xE11 + attempt)
         Mh = None
         for _ in range(5):
             h = ring.linear_form([rng.scalar(field) for _ in range(ring.nvars)])
-            Mh = _multiplication_operator(sat, h, source, target, GREVLEX)
+            Mh = _multiplication_operator(sat, h, source, target)
             if linalg.rank(Mh, field) == e:
                 break
             Mh = None
         if Mh is None:
             continue
         u = ring.linear_form([rng.scalar(field) for _ in range(ring.nvars)])
-        Mu = _multiplication_operator(sat, u, source, target, GREVLEX)
+        Mu = _multiplication_operator(sat, u, source, target)
         theta = linalg.matmul(linalg.inverse(Mh, field), Mu, field)
         g = _minimal_polynomial(theta, field)
         sqf = univariate.squarefree_part(g, field)

@@ -289,19 +289,25 @@ class Echelon:
     def __init__(self, rows, field: FieldSpec):
         self.field = field
         self.dtype = np.int64 if _is_modp(field) else object
-        red, self.pivots = _echelon(rows, field) if len(rows) else ([], [])
-        self.rows = np.array(red[: len(self.pivots)], dtype=self.dtype)
+        a = np.asarray(rows, dtype=self.dtype)
+        red, self.pivots = _echelon(a, field) if a.size else (a, [])
+        # a copy of the pivot rows, (rank x columns) even for rank 0
+        self.rows = np.array(red[: len(self.pivots)], dtype=self.dtype).reshape(len(self.pivots), a.shape[-1])
+
+    def reduce(self, vec: Sequence[Scalar]) -> np.ndarray:
+        """The residual vec - vec[pivots] . rows (mod p over GF(p)), one
+        vector product.  Each pivot row is zero in the other pivot columns,
+        so the residual is zero there: the one vector congruent to vec
+        modulo the row space with that support, zero exactly for members."""
+        v = np.asarray(vec, dtype=self.dtype)
+        if not _is_modp(self.field):
+            return v - vecmat(v[self.pivots], self.rows, self.field)
+        v = v % self.field.p
+        return (v - vecmat(v[self.pivots], self.rows, self.field)) % self.field.p
 
     def contains(self, vec: Sequence[Scalar]) -> bool:
-        """Whether vec lies in the row space.  Each pivot row is zero in the
-        other pivot columns, so vec - vec[pivots] . rows is zero exactly for
-        members: one vector product."""
-        v = np.asarray(vec, dtype=self.dtype)
-        if _is_modp(self.field):
-            v = v % self.field.p
-        if self.pivots:
-            v = v - vecmat(v[self.pivots], self.rows, self.field)
-        return not v.any()
+        """Whether vec lies in the row space."""
+        return not self.reduce(vec).any()
 
 
 def det(rows: Matrix, field: FieldSpec) -> Scalar:

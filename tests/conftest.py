@@ -4,7 +4,9 @@ import pytest
 
 from symcanon.errors import ContractError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
+from symcanon.ideals import _normal_form_terms, _Packing, groebner_basis
 from symcanon.koszul import RegularSequence, solve_skew
+from symcanon.orders import GREVLEX, monomial_divides
 from symcanon.paramgen import realize, sample
 from symcanon.poly import PolyRing, graded_basis
 from symcanon.tableau import OpMove, SymmetricTableau
@@ -174,4 +176,28 @@ def matmul_poly(a, b, ring):
                 s = s + row[k] * b[k][j]
             out_row.append(s)
         out.append(out_row)
+    return out
+
+
+def groebner_standard_monomials(I, m):
+    """The earlier standard monomials of degree m: those no leading monomial
+    of I's grevlex basis, truncated at degree m, divides."""
+    lms = [g.leading_monomial(GREVLEX) for g in groebner_basis(I, GREVLEX, cap=m)]
+    return [mono for mono in graded_basis(I.ring, m) if not any(monomial_divides(l, mono) for l in lms)]
+
+
+def groebner_multiplication_operator(sat, form, source, target):
+    """The earlier matrix of x^m -> NF(x^m * form), rows the target basis,
+    columns the source basis: one division by the packed truncated grevlex
+    basis per source monomial."""
+    ring = sat.ring
+    pk = _Packing(ring, GREVLEX)
+    reducers = pk.reducers(sat, sum(source[0]) + form.degree())
+    row = {pk.monomial(m): i for i, m in enumerate(target)}
+    form_terms = pk.terms(form)
+    out = [[ring.field.zero()] * len(source) for _ in target]
+    for j, mono in enumerate(source):
+        X = pk.monomial(mono)
+        for Y, c in _normal_form_terms([(X + Z, c) for Z, c in form_terms], reducers, pk.p, pk.guard):
+            out[row[Y]][j] = c
     return out

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from symcanon.canonical import (
@@ -184,6 +186,19 @@ def test_multiplication_table(golden_tableau):
                 assert associativity_check(table, i, j, k)
 
 
+def test_associativity_fails_on_perturbed_table(golden_tableau):
+    # x0^4 added to c0 of v_1 v_2: a triple with i = k compares a product
+    # with itself and passes, each of the other four must catch it
+    table = multiplication_table(golden_tableau)
+    c0, cs = table.entries[(1, 2)]
+    x0 = golden_tableau.ring.variable(0)
+    bad = dataclasses.replace(table, entries={**table.entries, (1, 2): (c0 + x0**4, cs)})
+    triples = [(i, j, k) for i in (1, 2) for j in (1, 2) for k in (1, 2)]
+    failing = [t for t in triples if not associativity_check(bad, *t)]
+    assert failing == [(1, 1, 2), (1, 2, 2), (2, 1, 1), (2, 2, 1)]
+    assert all(associativity_check(table, *t) for t in triples)
+
+
 def test_multiplication_table_n1():
     T = k2_10_fixture(GF(DEFAULT_PRIME))
     table = multiplication_table(T)
@@ -247,7 +262,8 @@ def test_echelon_membership_matches_span_solve(case, request):
     else:
         T = k2_10_fixture(QQ if case == "k2_10_q" else GF(3037000493))
     table = multiplication_table(T)
-    ring, gens = T.ring, table.surface_ideal.generators
+    ring, ideal = T.ring, table.surface_ideal
+    gens = ideal.generators
     D, N = table.denominator, table.numerators
     residues = [
         N[i] * N[j] - table.combination_residue(*table.entries[(i, j)]) * D
@@ -257,20 +273,32 @@ def test_echelon_membership_matches_span_solve(case, request):
     assert residues and all(not r.is_zero() for r in residues)
     x0_top = ring.variable(0) ** (2 * table.n + 4)
     for r in residues:
-        assert graded_membership(r, gens, ring, table.pieces)
+        assert graded_membership(r, ideal)
         assert _span_solve_membership(r, gens, ring)
         outside = r + x0_top
-        assert not graded_membership(outside, gens, ring, table.pieces)
+        assert not graded_membership(outside, ideal)
         assert not _span_solve_membership(outside, gens, ring)
-    assert list(table.pieces) == [2 * table.n + 4]
+    # the column choice asked about degree n, the products about 2n + 4
+    assert list(ideal._pieces) == [table.n, 2 * table.n + 4]
 
     # residue vectors equal the coefficients of the polynomial residues
     n = table.n
     for c0, cs in table.entries.values():
         residue = table.combination_residue(c0, cs)
-        d, vec = table.residue_vector(c0, cs)
+        d, vec = table.residue_vector(c0, cs, 0)
         assert d == residue.homogeneous_degree()
         assert list(vec) == list(graded_piece([residue], d, ring, 0)[0])
+        # times v_k: the residue of the product expanded through the table
+        # by polynomials, (e0, e_1..e_n) = c0 v_k + sum_l c_l (v_l v_k)
+        for k in range(1, n + 1):
+            terms = [(c0, (ring.zero(), [ring.one() if m == k else ring.zero() for m in range(1, n + 1)]))]
+            terms += [(c, table.expansion(l, k)) for l, c in enumerate(cs, 1)]
+            e0 = sum((c * t0 for c, (t0, _) in terms), ring.zero())
+            es = [sum((c * ts[m] for c, (_, ts) in terms), ring.zero()) for m in range(n)]
+            product = table.combination_residue(e0, es)
+            d, vec = table.residue_vector(c0, cs, k)
+            assert d == product.homogeneous_degree()
+            assert list(vec) == list(graded_piece([product], d, ring, 0)[0])
     zero = ring.zero()
     # the residue of 1 is D = det(M'), which the column choice put outside
     assert not is_zero_in_cokernel(table, ring.one(), [zero] * n)

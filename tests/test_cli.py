@@ -132,6 +132,11 @@ def test_cli_ledger(capsys):
     assert main(["ledger"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["result"] == 38
+    # the field and seed flags reach the ledger: a refused field exits 2
+    # as it does for verify, an admitted one is sampled from
+    assert main(["ledger", "--field", "p:4294967311"]) == 2
+    assert main(["ledger", "--seed", "3", "--field", "p:10007"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == 38
 
 
 def test_cli_exit_codes(tmp_path, golden_file, capsys):
@@ -234,6 +239,9 @@ def test_cli_check_generic(capsys):
     assert main(["check-generic", "--degree", "2"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["passed"] is True
+    # the check runs over a prime field only; Q is refused, not replaced
+    assert main(["check-generic", "--degree", "2", "--field", "q"]) == 2
+    assert "prime field" in capsys.readouterr().err
 
 
 def test_config_precedence(tmp_path, monkeypatch, capsys):

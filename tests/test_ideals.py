@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import hashlib
-from math import comb
+from fractions import Fraction
 
 import pytest
 
+from symcanon import ideals
 from symcanon.errors import BudgetExceededError, ContractError, DegreeOverflowError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
@@ -26,13 +27,21 @@ from symcanon.ideals import (
     point_count,
     saturate,
     zero_dim_analysis,
+    _multiplication_operator,
+    _standard_monomials,
 )
-from symcanon.linalg import rank
 from symcanon.orders import GREVLEX, LEX, elimination, grevlex_with_last
 from symcanon.poly import EXPONENT_BOUND, PolyRing, graded_piece, parse_poly
+from symcanon.paramgen import realize, sample
 from symcanon.tableau import erase_first_row, fitting_ideal
 
-from conftest import k2_10_fixture, random_linear
+from conftest import (
+    groebner_multiplication_operator,
+    groebner_standard_monomials,
+    k2_10_fixture,
+    random_homogeneous,
+    random_linear,
+)
 
 
 @pytest.fixture(scope="module")
@@ -305,9 +314,10 @@ def test_int_key_sorts_like_tuple_key(order, ring):
 
 
 def test_hilbert_function_matches_graded_rank(golden_tableau):
-    # Buchberger (standard monomials of a truncated basis) against linear
-    # algebra (rank of the degree-d piece of the ideal): I_n(A') and
-    # I_{n+1}(A) of golden seed 0 over GF(32003) and of k2_10_fixture over Q
+    # linear algebra (the pivots of the degree-d echelon, which is what
+    # hilbert_function counts) against Buchberger (standard monomials of a
+    # truncated basis): I_n(A') and I_{n+1}(A) of golden seed 0 over
+    # GF(32003) and of k2_10_fixture over Q
     for T in (golden_tableau, k2_10_fixture(QQ)):
         for ideal in (
             fitting_ideal(erase_first_row(T), T.n, T.ring),
@@ -315,9 +325,77 @@ def test_hilbert_function_matches_graded_rank(golden_tableau):
         ):
             ring = ideal.ring
             for d in range(7):
-                piece = graded_piece(ideal.generators, d, ring)
-                expected = comb(d + 4, 4) - rank(piece.tolist(), ring.field)
-                assert hilbert_function(ideal, d) == expected, (ring.field.kind, d)
+                expected = groebner_standard_monomials(ideal, d)
+                assert _standard_monomials(ideal, d) == expected, (ring.field.kind, d)
+                assert hilbert_function(ideal, d) == len(expected), (ring.field.kind, d)
+
+
+def test_fixed_degree_questions_make_no_groebner_call(golden_tableau, monkeypatch):
+    # hilbert_function, the standard monomials and the point operators read
+    # the ideal's echelons only
+    calls = []
+
+    def refuse(name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return wrapper
+
+    for name in ("groebner_basis", "_Packing", "_normal_form_terms"):
+        monkeypatch.setattr(ideals, name, refuse(name))
+    T = golden_tableau
+    ideal = fitting_ideal(erase_first_row(T), T.n, T.ring)
+    assert [hilbert_function(ideal, d) for d in range(4)] == [1, 5, 3, 3]
+    source, target = _standard_monomials(ideal, 2), _standard_monomials(ideal, 3)
+    op = _multiplication_operator(ideal, random_linear(T.ring, DetRng(5)), source, target)
+    assert len(op) == len(target) and len(op[0]) == len(source)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["gf", "q"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_point_operators_match_groebner(field, seed):
+    # the echelon point operators of the saturated degeneracy ideal equal the
+    # ones that divide by the truncated Groebner basis, entry for entry
+    F = GF(DEFAULT_PRIME) if field == "gf" else QQ
+    T = realize(sample(seed, F))
+    sat = saturate(fitting_ideal(erase_first_row(T), T.n, T.ring))
+    rng = DetRng(100 + seed)
+    for m in (1, 2):
+        source, target = _standard_monomials(sat, m), _standard_monomials(sat, m + 1)
+        assert source == groebner_standard_monomials(sat, m)
+        assert target == groebner_standard_monomials(sat, m + 1)
+        for _ in range(2):
+            form = random_linear(T.ring, rng)
+            op = _multiplication_operator(sat, form, source, target)
+            assert op == groebner_multiplication_operator(sat, form, source, target), (m, form)
+            assert all(type(c) is (int if field == "gf" else Fraction) for row in op for c in row)
+
+
+@pytest.mark.parametrize("field", ["gf", "q"])
+def test_echelon_reduce_is_normal_form(field, golden_tableau):
+    # the residue of a coefficient vector against the degree-d echelon is the
+    # coefficient vector of the grevlex normal form, inside the ideal (zero)
+    # and outside it
+    T = golden_tableau if field == "gf" else k2_10_fixture(QQ)
+    ring = T.ring
+    ideal = fitting_ideal(T.full_matrix(), T.n + 1, ring)
+    rng = DetRng(17)
+    top = max(g.degree() for g in ideal.generators)
+    for d in (top, top + 1):
+        inside = ring.zero()
+        for g in ideal.generators:
+            if g.degree() <= d:
+                inside = inside + random_homogeneous(ring, rng, d - g.degree()) * g
+        outside = inside + random_homogeneous(ring, rng, d)
+        for f, member in ((inside, True), (outside, False)):
+            nf = normal_form_poly(f, ideal)
+            assert nf.is_zero() == member
+            vec = graded_piece([f], d, ring, 0)[0]
+            residue = ideal.piece(d).reduce(vec)
+            assert list(residue) == list(graded_piece([nf], d, ring, 0)[0]), (d, member)
+            assert ideal.piece(d).contains(vec) == member
 
 
 def _digest(polys):
