@@ -5,11 +5,14 @@ A tableau A = (alpha beta) with n = K^2 - 9 spans the length-2 complex
     0 -> F2 --(-beta^t / alpha^t)--> F1 --(alpha beta)--> F0
 
 with F0 = R + R(-2)^n, F1 = R(-3)^(2n+2), F2 = R(-6) + R(-4)^n.  The
-composite vanishes exactly by the symmetry.  This module checks
-Buchsbaum-Eisenbud acyclicity, reads the surface invariants off the Hilbert
-resolution, decides the ring condition (saturated Fitting-ideal equality),
-produces the Cramer multiplication table of the cokernel algebra, and runs
-the generic graded-exactness experiment behind the reflexivity remark.
+composite is beta alpha^t - alpha beta^t, so it vanishes exactly by the
+symmetry, and the second map is A transposed against the symplectic form:
+both maps have the maximal minors of A, up to sign.  This module checks
+Buchsbaum-Eisenbud acyclicity from that one Fitting ideal I_{n+1}(A),
+reads the surface invariants off the Hilbert resolution, decides the ring
+condition (saturated Fitting-ideal equality), produces the Cramer
+multiplication table of the cokernel algebra, and runs the generic
+graded-exactness experiment behind the reflexivity remark.
 """
 
 from __future__ import annotations
@@ -23,13 +26,12 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError
-from .fields import DetRng, GF
+from .fields import GF
 from .ideals import (
     DEFAULT_GB_CONFIG,
     GBConfig,
     Ideal,
     codimension,
-    dimension,
     ideal_equal,
     saturate,
 )
@@ -64,30 +66,25 @@ class GradedResolution:
     shifts: Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
 
+def resolution_shifts(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """The standard twists of F0, F1, F2 for a given n."""
+    return (0,) + (2,) * n, (3,) * (2 * n + 2), (6,) + (4,) * n
+
+
 def build_resolution(T: SymmetricTableau) -> GradedResolution:
-    """Assemble the complex; the composite is asserted to vanish exactly,
-    which restates the symmetry of the tableau."""
-    ring = T.ring
+    """Assemble the complex.  Its composite is beta alpha^t - alpha beta^t,
+    which vanishes by the symmetry the tableau's constructor checked."""
     n = T.n
-    first = T.full_matrix()
     second = [
         [-T.beta[j][i] for j in range(n + 1)] for i in range(n + 1)
     ] + [[T.alpha[j][i] for j in range(n + 1)] for i in range(n + 1)]
-    composite = poly_matmul(first, second, ring)
-    assert all(s.is_zero() for row in composite for s in row), "composite of the resolution maps is nonzero"
-    shifts = (
-        (0,) + (2,) * n,
-        (3,) * (2 * n + 2),
-        (6,) + (4,) * n,
-    )
-    return GradedResolution(ring, n, first, second, shifts)
+    return GradedResolution(T.ring, n, T.full_matrix(), second, resolution_shifts(n))
 
 
 def shape_resolution(ring: PolyRing, n: int) -> GradedResolution:
     """Resolution carrier with the standard twists for a given n and no
     maps; enough for the Hilbert-dimension and invariant computations."""
-    shifts = ((0,) + (2,) * n, (3,) * (2 * n + 2), (6,) + (4,) * n)
-    return GradedResolution(ring, n, [], [], shifts)
+    return GradedResolution(ring, n, [], [], resolution_shifts(n))
 
 
 def graded_dim(R: GradedResolution, m: int) -> int:
@@ -158,52 +155,11 @@ def cokernel_graded_dim(T: SymmetricTableau, m: int) -> int:
 
 
 @dataclass
-class RankCertificate:
-    achieved: int
-    rows: Tuple[int, ...]
-    cols: Tuple[int, ...]
-    minor: Optional[Polynomial]
-
-
-_RANK_SEED = 11
-
-
-def rank_with_certificate(M: PolyMatrix, ring: PolyRing, want: int) -> RankCertificate:
-    """Generic rank of a polynomial matrix: seeded point evaluations propose
-    a pivot minor, which is then certified by a symbolic nonzero determinant;
-    exhaustive minor scan as fallback."""
-    nrows, ncols = len(M), len(M[0])
-    field = ring.field
-    memo: dict = {}
-    for attempt in range(4):
-        rng = DetRng(_RANK_SEED + attempt)
-        point = [rng.scalar(field) for _ in range(ring.nvars)]
-        scalar = [[entry.evaluate(point) for entry in row] for row in M]
-        red, pivots = linalg.rref(linalg.transpose(scalar), field)
-        if len(pivots) >= want:
-            rows_sel = tuple(pivots[:want])
-            red2, pivots2 = linalg.rref([[scalar[i][j] for j in range(ncols)] for i in rows_sel], field)
-            if len(pivots2) >= want:
-                cols_sel = tuple(pivots2[:want])
-                det = matrix_minor(M, rows_sel, cols_sel, ring, memo)
-                if not det.is_zero():
-                    return RankCertificate(want, rows_sel, cols_sel, det)
-    for rows_sel in combinations(range(nrows), want):
-        for cols_sel in combinations(range(ncols), want):
-            det = matrix_minor(M, rows_sel, cols_sel, ring, memo)
-            if not det.is_zero():
-                return RankCertificate(want, rows_sel, cols_sel, det)
-    return RankCertificate(want - 1, (), (), None)
-
-
-@dataclass
 class AcyclicityReport:
     rank_first_ok: bool
     rank_second_ok: bool
     codim_first: int
     codim_second: int
-    rank_first_cert: RankCertificate
-    rank_second_cert: RankCertificate
 
     @property
     def passed(self) -> bool:
@@ -224,30 +180,20 @@ class AcyclicityReport:
         }
 
 
-def complex_acyclicity(
-    first_map: PolyMatrix,
-    second_map: PolyMatrix,
-    ring: PolyRing,
-    expected_rank: int,
-    config: GBConfig = DEFAULT_GB_CONFIG,
-) -> AcyclicityReport:
-    """Buchsbaum-Eisenbud data for a length-2 free complex: both maps must
-    reach the expected rank (certified by a nonvanishing minor) and the
-    ideals of maximal minors must have grade at least 2."""
-    cert1 = rank_with_certificate(first_map, ring, expected_rank)
-    cert2 = rank_with_certificate(second_map, ring, expected_rank)
-    ok1 = cert1.minor is not None
-    ok2 = cert2.minor is not None
-    codim1 = codim2 = 0
-    if ok1:
-        codim1 = codimension(fitting_ideal(first_map, expected_rank, ring), config=config)
-    if ok2:
-        codim2 = codimension(fitting_ideal(second_map, expected_rank, ring), config=config)
-    return AcyclicityReport(ok1, ok2, codim1, codim2, cert1, cert2)
-
-
 def acyclicity_check(R: GradedResolution, config: GBConfig = DEFAULT_GB_CONFIG) -> AcyclicityReport:
-    return complex_acyclicity(R.first_map, R.second_map, R.ring, R.n + 1, config)
+    """Buchsbaum-Eisenbud data for the self-dual complex: both maps must
+    reach rank n+1 and their ideals of maximal minors must have grade at
+    least 2.
+
+    Row i of the second map (-beta^t / alpha^t) is a column of A transposed,
+    up to sign, so the maximal minors of both maps are those of A up to sign
+    and one Fitting ideal I_{n+1}(A) serves both.  A map has rank n+1 iff
+    that ideal is nonzero; its nonzero minors are the rank certificates.
+    """
+    ideal = fitting_ideal(R.first_map, R.n + 1, R.ring)
+    rank_ok = any(not g.is_zero() for g in ideal.generators)
+    codim = codimension(ideal, config=config) if rank_ok else 0
+    return AcyclicityReport(rank_ok, rank_ok, codim, codim)
 
 
 # -- ring condition -------------------------------------------------------------

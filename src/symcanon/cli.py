@@ -50,43 +50,56 @@ class Config:
         return GBConfig(self.degree_budget, self.pair_budget)
 
 
-def _load_config_file() -> dict:
-    path = os.environ.get("SYMCANON_CONFIG", "symcanon.json")
-    if os.path.exists(path):
+def _read_json(path: str):
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    return {}
+    except ValueError as exc:  # also an integer literal past the int/str conversion limit
+        raise ContractError(f"unreadable JSON: {exc}") from None
+
+
+def _load_config_file() -> dict:
+    path = os.environ.get("SYMCANON_CONFIG", "symcanon.json")
+    data = _read_json(path) if os.path.exists(path) else {}
+    if not isinstance(data, dict):
+        raise ContractError(f"config file {path} must hold a JSON object")
+    return data
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
     file_cfg = _load_config_file()
 
-    def pick(flag_value, env_name: str, file_key: str, default):
+    def pick(flag_value, key: str, default):
         if flag_value is not None:
             return flag_value
+        env_name = "SYMCANON_" + key.upper()
         if env_name in os.environ:
             return os.environ[env_name]
-        if file_key in file_cfg:
-            return file_cfg[file_key]
+        if key in file_cfg:
+            return file_cfg[key]
         return default
 
-    field_text = pick(getattr(args, "field", None), "SYMCANON_FIELD", "field", f"p:{DEFAULT_PRIME}")
+    def integer(flag_value, key: str, default: int) -> int:
+        value = pick(flag_value, key, default)
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise ContractError(f"setting {key} must be an integer, got {value!r}")
+
+    field_text = pick(getattr(args, "field", None), "field", f"p:{DEFAULT_PRIME}")
     field = field_text if isinstance(field_text, FieldSpec) else parse_field(str(field_text))
     if field.characteristic == 2:
         raise ContractError("characteristic 2 is refused (2 must be invertible)")
     return Config(
         field=field,
-        seed=int(pick(getattr(args, "seed", None), "SYMCANON_SEED", "seed", 0)),
-        degree_budget=int(pick(None, "SYMCANON_DEGREE_BUDGET", "degree_budget", 48)),
-        pair_budget=int(pick(None, "SYMCANON_PAIR_BUDGET", "pair_budget", 400_000)),
+        seed=integer(getattr(args, "seed", None), "seed", 0),
+        degree_budget=integer(None, "degree_budget", 48),
+        pair_budget=integer(None, "pair_budget", 400_000),
     )
-
-
-def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -280,10 +293,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ContractError, json.JSONDecodeError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except SymcanonError as exc:
+    except (SymcanonError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

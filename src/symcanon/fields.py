@@ -121,10 +121,6 @@ class FieldSpec:
     def to_json(self) -> dict:
         return {"kind": self.kind, "characteristic": self.characteristic}
 
-    @staticmethod
-    def from_json(data: dict) -> "FieldSpec":
-        return FieldSpec(data["kind"], data["characteristic"])
-
 
 QQ = FieldSpec("rationals", 0)
 
@@ -138,7 +134,10 @@ def parse_field(text: str) -> FieldSpec:
     if text in ("q", "Q", "rationals"):
         return QQ
     if text.startswith("p:"):
-        return GF(int(text[2:]))
+        try:
+            return GF(int(text[2:]))
+        except ValueError:
+            pass
     raise ContractError(f"cannot parse field spec {text!r} (expected 'q' or 'p:<prime>')")
 
 

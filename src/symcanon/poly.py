@@ -398,11 +398,14 @@ class _Tokenizer:
     def take_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # longer than the int/str conversion limit
+            raise ParseError("integer literal too long", start) from None
 
     def take_name(self) -> str:
         self.skip_ws()

@@ -12,20 +12,13 @@ from fractions import Fraction
 from typing import Any, Dict, List
 
 from .basechange import BaseChangeCert, SquareSymmetricPair
-from .canonical import VerificationReport
+from .canonical import VerificationReport, resolution_shifts
 from .errors import ContractError
 from .fields import FieldSpec, Scalar
 from .ideals import Ideal, groebner_basis
 from .koszul import SkewWitness
 from .orders import GREVLEX
-from .paramgen import (
-    BASE_LINEAR,
-    L_FREE_KEYS,
-    M_KEYS,
-    QUADRIC_NAMES,
-    S_KEYS,
-    ParameterPoint,
-)
+from .paramgen import ParameterPoint
 from .poly import PolyRing, parse_poly, poly_to_string
 from .tableau import OpMove, SymmetricTableau, rows_move
 
@@ -117,7 +110,7 @@ def tableau_from_json(data: dict) -> SymmetricTableau:
     if "shifts" in data:
         # general twist layouts are parsed but only the specialization with
         # row degrees (3; 1..1) is processed
-        expected = [[0] + [2] * n, [3] * (2 * n + 2), [6] + [4] * n]
+        expected = [list(twists) for twists in resolution_shifts(n)]
         if data["shifts"] not in (THM15_SHIFTS, expected):
             raise ContractError(
                 "only the standard degree layout (first row cubic, rest linear) is "

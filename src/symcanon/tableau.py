@@ -11,6 +11,7 @@ engine: every column move is its symplectic scalar matrix.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,28 +26,34 @@ from .ideals import (
     dimension,
     saturate,
 )
-from .poly import Polynomial, PolyRing, poly_matmul
+from .poly import Polynomial, PolyRing
 
 PolyMatrix = List[List[Polynomial]]
+
+
+def _first_asymmetry(a, b, dot) -> Optional[Tuple[int, int]]:
+    """First entry (i, j), 1-based in row-major order, where a b^t and b a^t
+    differ, or None.  Their difference is skew for any blocks, and a failing
+    entry below the diagonal has its partner above it, earlier; so only
+    i < j is compared, as dot(a_i, b_j) against dot(a_j, b_i)."""
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            if dot(a[i], b[j]) != dot(a[j], b[i]):
+                return i + 1, j + 1
+    return None
 
 
 def check_symmetry(
     alpha: PolyMatrix, beta: PolyMatrix, ring: PolyRing
 ) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    """Entrywise test of alpha beta^t = beta alpha^t.
+    """Entrywise test of alpha beta^t = beta alpha^t, on the upper triangle.
 
     Returns (True, None) or (False, (i, j)) with the first failing entry in
     row-major order, 1-based.  Degree layout is not examined here, so scalar
     toys can be checked too.
     """
-    left = poly_matmul(alpha, linalg.transpose(beta), ring)
-    right = poly_matmul(beta, linalg.transpose(alpha), ring)
-    m = len(alpha)
-    for i in range(m):
-        for j in range(m):
-            if left[i][j] != right[i][j]:
-                return False, (i + 1, j + 1)
-    return True, None
+    where = _first_asymmetry(alpha, beta, lambda u, v: sum(map(operator.mul, u, v), ring.zero()))
+    return where is None, where
 
 
 def _validate_degree_layout(rows: PolyMatrix, first_row_degree: int) -> Optional[str]:
@@ -429,12 +436,9 @@ class ScalarTableau:
             len(r) != n + 1 for r in b
         ):
             raise ContractError("scalar tableau blocks must be n x (n+1)")
-        lhs = linalg.matmul(a, linalg.transpose(b), ring.field)
-        rhs = linalg.matmul(b, linalg.transpose(a), ring.field)
-        for i in range(n):
-            for j in range(n):
-                if lhs[i][j] != rhs[i][j]:
-                    raise ContractError(f"scalar symmetry a*b^t = b*a^t fails at ({i + 1},{j + 1})")
+        where = _first_asymmetry(a, b, lambda u, v: linalg.matvec([u], v, ring.field)[0])
+        if where:
+            raise ContractError(f"scalar symmetry a*b^t = b*a^t fails at ({where[0]},{where[1]})")
         self.ring = ring
         self.n = n
         self.a = [list(r) for r in a]

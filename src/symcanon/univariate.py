@@ -7,6 +7,7 @@ reduction; nothing here touches the multivariate machinery.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -137,7 +138,7 @@ def _rational_roots(f: Coeffs) -> List[Fraction]:
     fracs = [Fraction(c) for c in f]
     lcm = 1
     for c in fracs:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
+        lcm = math.lcm(lcm, c.denominator)
     ints = [int(c * lcm) for c in fracs]
     while ints and ints[0] == 0:
         ints = ints[1:]
@@ -155,12 +156,6 @@ def _rational_roots(f: Coeffs) -> List[Fraction]:
                 if evaluate(f, cand, field) == 0:
                     out.add(cand)
     return list(out)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> List[int]:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +12,6 @@ from symcanon.canonical import (
     associativity_check,
     build_resolution,
     cokernel_graded_dim,
-    complex_acyclicity,
     conductor_ideal,
     generic_reflexivity_check,
     graded_dim,
@@ -34,10 +36,10 @@ from symcanon.ideals import (
     point_count,
     saturate,
 )
-from symcanon.koszul import RegularSequence, koszul_differential
-from symcanon import linalg
+from symcanon import canonical, linalg
 from symcanon.poly import PolyRing, graded_basis, graded_piece, parse_poly
-from symcanon.tableau import SymmetricTableau, degeneracy_scheme, fitting_ideal
+from symcanon.serialize import render_report
+from symcanon.tableau import SymmetricTableau, check_symmetry, degeneracy_scheme, fitting_ideal
 
 from conftest import coeff_matrix, k2_10_fixture, random_linear
 
@@ -79,27 +81,14 @@ def test_acyclicity_golden(golden_tableau):
     rep = acyclicity_check(build_resolution(golden_tableau))
     assert rep.passed
     assert rep.codim_first == 2 and rep.codim_second == 2
-    assert rep.rank_first_cert.minor is not None
+    assert rep.rank_first_ok and rep.rank_second_ok
 
 
 def test_acyclicity_honours_the_groebner_budget(golden_tableau):
     # the codimension runs of the grade condition take the caller's budget
     R = build_resolution(golden_tableau)
     with pytest.raises(BudgetExceededError):
-        complex_acyclicity(R.first_map, R.second_map, R.ring, R.n + 1, config=GBConfig(degree_budget=2))
-
-
-def test_acyclicity_koszul_test_mode():
-    # the length-2 Koszul complex of (x, y) is exact; the shared checker
-    # accepts it with expected rank 1
-    ring = PolyRing(("x", "y"), QQ)
-    seq = RegularSequence.verify(ring.gens())
-    d0 = koszul_differential(seq, 0)  # 1 x 2
-    d1 = koszul_differential(seq, 1)  # 2 x 1
-    rep = complex_acyclicity(d0, d1, ring, expected_rank=1)
-    assert rep.rank_first_ok and rep.rank_second_ok
-    assert rep.codim_first == 2 and rep.codim_second >= 2
-    assert rep.passed
+        acyclicity_check(R, GBConfig(degree_budget=2))
 
 
 def test_acyclicity_alpha_equals_beta_fails(golden_tableau):
@@ -110,6 +99,88 @@ def test_acyclicity_alpha_equals_beta_fails(golden_tableau):
     rep = acyclicity_check(build_resolution(mutated))
     assert not rep.passed
     assert rep.codim_first == 1
+
+
+def _minors_up_to_sign(M, k, ring):
+    return Counter(frozenset((g, -g)) for g in fitting_ideal(M, k, ring).generators)
+
+
+def _raw_pair(ring, seed, size=3):
+    # alpha and beta of linear forms with no symmetry, outside the constructor
+    rng = DetRng(seed)
+    alpha, beta = ([[random_linear(ring, rng) for _ in range(size)] for _ in range(size)] for _ in range(2))
+    full = [a + b for a, b in zip(alpha, beta)]
+    return SimpleNamespace(ring=ring, n=size - 1, alpha=alpha, beta=beta, full_matrix=lambda: full)
+
+
+@pytest.mark.parametrize("case", ["golden", "k2_10_q", "raw_pair"])
+def test_second_map_has_the_maximal_minors_of_the_first(golden_tableau, case):
+    # row i of (-beta^t / alpha^t) is a column of A transposed, up to sign,
+    # for every alpha and beta: the ground of the one-ideal acyclicity check
+    if case == "golden":
+        T = golden_tableau
+    elif case == "k2_10_q":
+        T = k2_10_fixture(QQ)
+    else:
+        T = _raw_pair(PolyRing(field=GF(DEFAULT_PRIME)), 17)
+        assert not check_symmetry(T.alpha, T.beta, T.ring)[0]
+    R = build_resolution(T)
+    k = R.n + 1
+    assert _minors_up_to_sign(R.second_map, k, R.ring) == _minors_up_to_sign(R.first_map, k, R.ring)
+
+
+def _own_fitting_report(R):
+    # each map's own Fitting ideal and its codimension, without the
+    # shared-ideal argument acyclicity_check rests on
+    out = []
+    for M in (R.first_map, R.second_map):
+        ideal = fitting_ideal(M, R.n + 1, R.ring)
+        ok = any(not g.is_zero() for g in ideal.generators)
+        out.append((ok, codimension(ideal) if ok else 0))
+    return out
+
+
+@pytest.mark.parametrize("case", ["seed0", "seed1", "seed2", "alpha_is_beta", "k2_10"])
+def test_acyclicity_matches_each_maps_own_fitting_ideal(golden_tableaux, case):
+    if case.startswith("seed"):
+        T = golden_tableaux[int(case[-1])]
+    elif case == "alpha_is_beta":
+        G = golden_tableaux[0]
+        T = SymmetricTableau(G.ring, G.alpha, [row[:] for row in G.alpha])
+    else:
+        T = k2_10_fixture(GF(DEFAULT_PRIME))
+    R = build_resolution(T)
+    rep = acyclicity_check(R)
+    (ok1, codim1), (ok2, codim2) = _own_fitting_report(R)
+    assert (rep.rank_first_ok, rep.codim_first) == (ok1, codim1)
+    assert (rep.rank_second_ok, rep.codim_second) == (ok2, codim2)
+    if case == "alpha_is_beta":
+        assert codim1 == 1
+    else:
+        assert codim1 == 2
+
+
+def test_verify_builds_the_surface_fitting_ideal_once(golden_tableau, monkeypatch):
+    sizes = []
+    build = canonical.fitting_ideal
+
+    def counted(M, k, ring):
+        sizes.append(k)
+        return build(M, k, ring)
+
+    monkeypatch.setattr(canonical, "fitting_ideal", counted)
+    assert verify_instance(golden_tableau).overall
+    assert sizes.count(golden_tableau.n + 1) == 1
+
+
+def test_verify_reports_a_tableau_edited_after_construction(golden_tableau):
+    # blocks changed after construction break the symmetry: verify reports
+    # it as a failed check and does not raise
+    T = copy.deepcopy(golden_tableau)
+    T.alpha[1][1] = T.alpha[1][1] + T.ring.gens()[0]
+    text = render_report(verify_instance(T), "text")
+    assert "symmetry: FAIL (fails at (1, 2))" in text.splitlines()
+    assert text.splitlines()[-1].startswith("OVERALL: FAIL")
 
 
 def test_ring_condition_k11(golden_tableau):

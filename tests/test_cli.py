@@ -199,6 +199,50 @@ def test_malformed_library_documents_refused(Fp):
         ideal_from_json({"ring": RING_JSON})
 
 
+HUGE = "1" + "0" * 5000  # past the int/str conversion limit of 4300 digits
+
+
+def _edited_entry(text):
+    def edit(data):
+        data["alpha"][1][0] = text
+        return dumps(data)
+
+    return edit
+
+
+# (argv after the input file, environment, config file text, edit of the tableau file)
+BAD_SETTINGS = {
+    "field_flag": (["--field", "p:abc"], {}, None, None),
+    "field_env": ([], {"SYMCANON_FIELD": "p:abc"}, None, None),
+    "seed_env": ([], {"SYMCANON_SEED": "abc"}, None, None),
+    "budget_env": ([], {"SYMCANON_DEGREE_BUDGET": "1.5"}, None, None),
+    "seed_file": ([], {}, json.dumps({"seed": "x"}), None),
+    "file_not_object": ([], {}, json.dumps("fieldx"), None),
+    "superscript_exponent": ([], {}, None, _edited_entry("x0^\u00b2")),
+    "long_coefficient": ([], {}, None, _edited_entry(HUGE + "*x0")),
+    "long_json_integer": ([], {}, None, lambda data: dumps(data)[:-2] + ', "x": ' + HUGE + "}"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_SETTINGS))
+def test_bad_settings_and_long_integers_exit_2(tmp_path, monkeypatch, capsys, golden_tableau, case):
+    # a malformed setting or an integer past the conversion limit is a
+    # contract error (exit 2), never a verification failure or a traceback
+    argv, env, config_text, edit = BAD_SETTINGS[case]
+    path = tmp_path / "tab.json"
+    data = tableau_to_json(golden_tableau)
+    path.write_text(edit(data) if edit else dumps(data))
+    config = tmp_path / "symcanon.json"
+    if config_text is not None:
+        config.write_text(config_text)
+    monkeypatch.setenv("SYMCANON_CONFIG", str(config))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(["verify", str(path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_large_primes_refused(golden_file, capsys):
     # int64 elimination would square residues past 2^63 and report wrong ranks
     with pytest.raises(ContractError, match="too large"):

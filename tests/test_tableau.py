@@ -6,7 +6,7 @@ from symcanon import linalg
 from symcanon.errors import ContractError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import Ideal, ideal_contains, ideal_equal, saturate
-from symcanon.poly import PolyRing, parse_poly
+from symcanon.poly import PolyRing, parse_poly, poly_matmul
 from symcanon.tableau import (
     OpMove,
     ScalarTableau,
@@ -24,7 +24,7 @@ from symcanon.tableau import (
     symplectic_defect,
 )
 
-from conftest import k2_10_fixture, random_move_word
+from conftest import k2_10_fixture, random_linear, random_move_word
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,99 @@ def test_check_symmetry_scalar_toy(ring):
     beta = [[zero, zero], [one, zero]]
     ok, where = check_symmetry(alpha, beta, ring)
     assert not ok and where == (1, 2)
+
+
+def _two_product_symmetry(alpha, beta, ring):
+    # the earlier test, kept as oracle: both full products, every entry
+    left = poly_matmul(alpha, linalg.transpose(beta), ring)
+    right = poly_matmul(beta, linalg.transpose(alpha), ring)
+    for i in range(len(alpha)):
+        for j in range(len(alpha)):
+            if left[i][j] != right[i][j]:
+                return False, (i + 1, j + 1)
+    return True, None
+
+
+def test_check_symmetry_matches_two_products_on_tableaux(golden_tableaux):
+    tableaux = list(golden_tableaux) + [k2_10_fixture(GF(DEFAULT_PRIME)), k2_10_fixture(QQ)]
+    for T in tableaux:
+        assert check_symmetry(T.alpha, T.beta, T.ring) == (True, None)
+        assert _two_product_symmetry(T.alpha, T.beta, T.ring) == (True, None)
+
+
+def test_check_symmetry_matches_two_products_on_each_perturbed_entry(golden_tableaux):
+    # one entry changed at every position of either block: the failing
+    # position is the oracle's, which reads both triangles
+    for T in golden_tableaux:
+        ring, m = T.ring, T.n + 1
+        seen = set()
+        for block in ("alpha", "beta"):
+            for i in range(m):
+                for j in range(m):
+                    alpha = [row[:] for row in T.alpha]
+                    beta = [row[:] for row in T.beta]
+                    target = alpha if block == "alpha" else beta
+                    target[i][j] = target[i][j] + ring.variable((i + j) % 5) ** (3 if i == 0 else 1)
+                    got = check_symmetry(alpha, beta, ring)
+                    assert got == _two_product_symmetry(alpha, beta, ring)
+                    assert not got[0]
+                    seen.add(got[1])
+        assert len(seen) > 1
+
+
+@pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ], ids=["gf", "q"])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_check_symmetry_matches_two_products_on_random_blocks(field, size):
+    # random blocks, symmetric pairs (beta = alpha S with S symmetric) and
+    # those pairs with one entry changed
+    ring = PolyRing(field=field)
+    rng = DetRng(100 * size + field.characteristic % 97)
+    for _ in range(4):
+        alpha = [[random_linear(ring, rng) for _ in range(size)] for _ in range(size)]
+        beta = [[random_linear(ring, rng) for _ in range(size)] for _ in range(size)]
+        assert check_symmetry(alpha, beta, ring) == _two_product_symmetry(alpha, beta, ring)
+        S = [[ring.constant(rng.scalar(field)) for _ in range(size)] for _ in range(size)]
+        S = [[S[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+        beta = poly_matmul(alpha, S, ring)
+        assert check_symmetry(alpha, beta, ring) == (True, None) == _two_product_symmetry(alpha, beta, ring)
+        i, j = rng.randint(0, size - 1), rng.randint(0, size - 1)
+        beta[i][j] = beta[i][j] + random_linear(ring, rng)
+        assert check_symmetry(alpha, beta, ring) == _two_product_symmetry(alpha, beta, ring)
+
+
+def _two_product_scalar_message(a, b, field):
+    # the earlier ScalarTableau test, kept as oracle
+    lhs = linalg.matmul(a, linalg.transpose(b), field)
+    rhs = linalg.matmul(b, linalg.transpose(a), field)
+    for i in range(len(a)):
+        for j in range(len(a)):
+            if lhs[i][j] != rhs[i][j]:
+                return f"scalar symmetry a*b^t = b*a^t fails at ({i + 1},{j + 1})"
+    return None
+
+
+@pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ], ids=["gf", "q"])
+def test_scalar_tableau_accepts_and_refuses_as_before(field):
+    ring = PolyRing(field=field)
+    rng = DetRng(29)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            a = [[rng.scalar(field) for _ in range(n + 1)] for _ in range(n)]
+            S = [[rng.scalar(field) for _ in range(n + 1)] for _ in range(n + 1)]
+            S = [[S[min(i, j)][max(i, j)] for j in range(n + 1)] for i in range(n + 1)]
+            symmetric = linalg.matmul(a, S, field)
+            perturbed = [row[:] for row in symmetric]
+            i, j = rng.randint(0, n - 1), rng.randint(0, n)
+            perturbed[i][j] = field.add(perturbed[i][j], field.one())
+            random_b = [[rng.scalar(field) for _ in range(n + 1)] for _ in range(n)]
+            for b in (symmetric, perturbed, random_b):
+                want = _two_product_scalar_message(a, b, field)
+                if want is None:
+                    assert ScalarTableau(ring, a, b).b == b
+                else:
+                    with pytest.raises(ContractError) as err:
+                        ScalarTableau(ring, a, b)
+                    assert str(err.value) == want
 
 
 def test_constructor_refuses_bad_layout_and_asymmetry(golden_tableau):
