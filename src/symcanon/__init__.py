@@ -29,6 +29,7 @@ from .koszul import RegularSequence, SkewWitness, ambiguity_dim, is_regular_sequ
 from .orders import GREVLEX, LEX, MonomialOrder, elimination
 from .poly import Polynomial, PolyRing, graded_basis, parse_poly, poly_to_string
 from .tableau import (
+    Minors,
     OpMove,
     ScalarTableau,
     SymmetricTableau,

@@ -23,6 +23,7 @@ from .fields import DetRng
 from .ideals import DEFAULT_GB_CONFIG, GBConfig, Ideal, ideal_equal, ideal_quotient
 from .poly import Polynomial, PolyRing
 from .tableau import (
+    Minors,
     OpMove,
     PolyMatrix,
     SymmetricTableau,
@@ -30,7 +31,6 @@ from .tableau import (
     apply_op,
     apply_op_word,
     check_symmetry,
-    matrix_minor,
     mirror_pair_word,
 )
 
@@ -49,6 +49,10 @@ class MinorIndex:
     @property
     def overlap(self) -> int:
         return len(set(self.alpha_cols) & set(self.beta_cols))
+
+    def columns(self, size: int) -> Tuple[int, ...]:
+        """The selected columns of the joined matrix (alpha | beta)."""
+        return tuple(sorted(self.alpha_cols)) + tuple(size + c for c in sorted(self.beta_cols))
 
 
 class SquareSymmetricPair:
@@ -77,12 +81,15 @@ class SquareSymmetricPair:
         self.ring = ring
         self.alpha = [list(r) for r in alpha]
         self.beta = [list(r) for r in beta]
+        self._minors = None
 
     @property
     def size(self) -> int:
         return len(self.alpha)
 
     width = size
+    full_matrix = SymmetricTableau.full_matrix
+    minors = SymmetricTableau.minors
 
     def _row_matrix(self, g):
         raise ContractError("rows(g) does not act on a square pair: it has no graded first row")
@@ -106,6 +113,12 @@ class SquareSymmetricPair:
 PairLike = Union[SquareSymmetricPair, SymmetricTableau]
 
 
+def _det(P: PairLike, block: int) -> Polynomial:
+    """det(alpha) for block 0, det(beta) for block 1, read from P's table."""
+    size = len(P.alpha)
+    return P.minors()(range(size), range(block * size, (block + 1) * size))
+
+
 def plucker_residual(
     M: PolyMatrix,
     a_cols: Sequence[int],
@@ -124,30 +137,17 @@ def plucker_residual(
         raise ContractError("arity mismatch: need |c| = rows - |a| + q - 1")
     if s <= nrows or t <= 0:
         raise ContractError("arity mismatch: need |c| > rows and |a| < rows")
-    all_rows = tuple(range(nrows))
-    memo: dict = {}
-
-    def minor(cols: Sequence[int]) -> Polynomial:
-        assert len(cols) == nrows
-        # determinant with columns in the listed, possibly unsorted, order:
-        # sort and track the permutation sign, reusing the memoized minors
-        order = sorted(range(len(cols)), key=lambda i: cols[i])
-        sorted_cols = tuple(cols[i] for i in order)
-        if len(set(sorted_cols)) < len(sorted_cols):
-            return ring.zero()
-        inversions = sum(
-            1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j]
-        )
-        det = matrix_minor(M, all_rows, sorted_cols, ring, memo)
-        return det if inversions % 2 == 0 else -det
-
+    table = Minors(M, ring)
+    a_cols, b_cols, c_cols = (table.columns(sel) for sel in (a_cols, b_cols, c_cols))
+    # each minor has its columns in the listed, possibly unsorted or
+    # repeated, order
     total = ring.zero()
     for chosen in combinations(range(s), t):
         chosen_set = set(chosen)
         rest = [i for i in range(s) if i not in chosen_set]
         inversions = sum(1 for i in chosen for j in rest if j < i)
-        first = minor(list(a_cols) + [c_cols[i] for i in chosen])
-        second = minor([c_cols[i] for i in rest] + list(b_cols))
+        first = table(range(nrows), a_cols + tuple(c_cols[i] for i in chosen))
+        second = table(range(nrows), tuple(c_cols[i] for i in rest) + b_cols)
         term = first * second
         total = total + term if inversions % 2 == 0 else total - term
     return total
@@ -180,23 +180,10 @@ class BaseChangeCert:
         """Independent re-check: replay the moves, recompute both
         determinants and re-run the quotient test."""
         current = apply_op_word(original, self.moves)
-        ring = current.ring
-        size = len(current.alpha)
-        idx = tuple(range(size))
-        da = matrix_minor(current.alpha, idx, idx, ring)
-        db = matrix_minor(current.beta, idx, idx, ring)
-        if da != self.det_alpha or db != self.det_beta:
+        da, db = _det(current, 0), _det(current, 1)
+        if da != self.det_alpha or db != self.det_beta or da.is_zero():
             return False
-        if da.is_zero():
-            return False
-        return is_nzd_mod(db, Ideal(ring, [da]), config=config)
-
-
-def _mixed_minor(alpha: PolyMatrix, beta: PolyMatrix, ring: PolyRing, idx: MinorIndex, memo) -> Polynomial:
-    joined = [ar + br for ar, br in zip(alpha, beta)]
-    size = len(alpha)
-    cols = tuple(sorted(idx.alpha_cols)) + tuple(size + c for c in sorted(idx.beta_cols))
-    return matrix_minor(joined, tuple(range(size)), cols, ring, memo)
+        return is_nzd_mod(db, Ideal(current.ring, [da]), config=config)
 
 
 def _all_minor_indices(size: int):
@@ -204,11 +191,6 @@ def _all_minor_indices(size: int):
         for a_sel in combinations(range(size), k):
             for b_sel in combinations(range(size), size - k):
                 yield MinorIndex(a_sel, b_sel)
-
-
-def _det_block(block: PolyMatrix, ring: PolyRing) -> Polynomial:
-    idx = tuple(range(len(block)))
-    return matrix_minor(block, idx, idx, ring)
 
 
 def make_koszul_type(
@@ -235,11 +217,12 @@ def make_koszul_type(
 
     # -- phase 1: det(alpha) != 0 ------------------------------------------
     trials = 0
-    while _det_block(current.alpha, current.ring).is_zero():
-        memo: dict = {}
+    rows = range(size)
+    while _det(current, 0).is_zero():
         best: Optional[MinorIndex] = None
+        table = current.minors()
         for idx in _all_minor_indices(size):
-            if _mixed_minor(current.alpha, current.beta, current.ring, idx, memo).is_zero():
+            if table(rows, idx.columns(size)).is_zero():
                 continue
             if best is None or idx.overlap < best.overlap:
                 best = idx
@@ -266,14 +249,14 @@ def make_koszul_type(
                 zeta = rng.nonzero_scalar(current.ring.field)
                 word = mirror_pair_word(zeta, H, L, current.ring)
                 candidate = apply_op_word(current, word)
-                if not _mixed_minor(candidate.alpha, candidate.beta, candidate.ring, target, {}).is_zero():
+                if not candidate.minors()(rows, target.columns(size)).is_zero():
                     current = candidate
                     moves.extend(word)
                     improved = True
             if not improved:
                 raise BudgetExceededError(
                     f"phase 1 overlap trade failed within {trial_budget} trials; "
-                    f"last state det(alpha) = {_det_block(current.alpha, current.ring)}"
+                    f"last state det(alpha) = {_det(current, 0)}"
                 )
             continue
         # good minor in hand: fold its beta columns into alpha
@@ -283,7 +266,7 @@ def make_koszul_type(
             b = rng.nonzero_scalar(current.ring.field)
             word = [OpMove("add_col_same", b, c) for c in best.beta_cols]
             candidate = apply_op_word(current, word)
-            if not _det_block(candidate.alpha, candidate.ring).is_zero():
+            if not _det(candidate, 0).is_zero():
                 current = candidate
                 moves.extend(word)
                 folded = True
@@ -292,11 +275,11 @@ def make_koszul_type(
                 f"phase 1 fold failed within {trial_budget} trials (good minor {best})"
             )
 
-    det_alpha = _det_block(current.alpha, current.ring)
+    det_alpha = _det(current, 0)
 
     # -- phase 2: det(beta) regular mod (det alpha), alpha kept fixed --------
     trials = 0
-    det_beta = _det_block(current.beta, current.ring)
+    det_beta = _det(current, 1)
     passed = not det_beta.is_zero() and is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]), config=config)
     while not passed:
         if trials >= trial_budget:
@@ -310,7 +293,7 @@ def make_koszul_type(
         zeta = rng.nonzero_scalar(current.ring.field)
         word = mirror_pair_word(zeta, H, L, current.ring)
         candidate = apply_op_word(current, word)
-        cand_det_beta = _det_block(candidate.beta, candidate.ring)
+        cand_det_beta = _det(candidate, 1)
         if cand_det_beta.is_zero():
             continue
         # keep the perturbation even when the test fails: the walk must

@@ -38,13 +38,12 @@ from .ideals import (
 from .poly import Polynomial, PolyRing, graded_basis, graded_map, graded_piece, poly_matmul
 from .tableau import (
     DegeneracyScheme,
+    Minors,
     PolyMatrix,
     SymmetricTableau,
     check_symmetry,
     degeneracy_scheme,
-    erase_first_row,
     fitting_ideal,
-    matrix_minor,
 )
 
 
@@ -61,9 +60,14 @@ class GradedResolution:
 
     ring: PolyRing
     n: int
-    first_map: PolyMatrix  # (n+1) x (2n+2), the tableau itself
+    minors: Minors  # the table of the tableau's minors
     second_map: PolyMatrix  # (2n+2) x (n+1), (-beta^t over alpha^t)
     shifts: Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
+
+    @property
+    def first_map(self) -> PolyMatrix:
+        """(n+1) x (2n+2), the tableau itself."""
+        return self.minors.matrix
 
 
 def resolution_shifts(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
@@ -78,13 +82,13 @@ def build_resolution(T: SymmetricTableau) -> GradedResolution:
     second = [
         [-T.beta[j][i] for j in range(n + 1)] for i in range(n + 1)
     ] + [[T.alpha[j][i] for j in range(n + 1)] for i in range(n + 1)]
-    return GradedResolution(T.ring, n, T.full_matrix(), second, resolution_shifts(n))
+    return GradedResolution(T.ring, n, T.minors(), second, resolution_shifts(n))
 
 
 def shape_resolution(ring: PolyRing, n: int) -> GradedResolution:
     """Resolution carrier with the standard twists for a given n and no
     maps; enough for the Hilbert-dimension and invariant computations."""
-    return GradedResolution(ring, n, [], [], resolution_shifts(n))
+    return GradedResolution(ring, n, Minors([], ring), [], resolution_shifts(n))
 
 
 def graded_dim(R: GradedResolution, m: int) -> int:
@@ -190,7 +194,7 @@ def acyclicity_check(R: GradedResolution, config: GBConfig = DEFAULT_GB_CONFIG) 
     and one Fitting ideal I_{n+1}(A) serves both.  A map has rank n+1 iff
     that ideal is nonzero; its nonzero minors are the rank certificates.
     """
-    ideal = fitting_ideal(R.first_map, R.n + 1, R.ring)
+    ideal = fitting_ideal(R.minors, R.n + 1)
     rank_ok = any(not g.is_zero() for g in ideal.generators)
     codim = codimension(ideal, config=config) if rank_ok else 0
     return AcyclicityReport(rank_ok, rank_ok, codim, codim)
@@ -232,13 +236,12 @@ def ring_condition_check(
         return RingConditionReport("skipped", "degeneracy scheme not finite", None, None, None, None)
     if not scheme.reduced:
         return RingConditionReport("skipped", "degeneracy scheme not reduced", None, None, None, None)
-    ring = T.ring
     n = T.n
-    I_a = fitting_ideal(T.full_matrix(), n, ring)
+    I_a = fitting_ideal(T.minors(), n)
     sat_aprime = scheme.ideal
     sat_a = saturate(I_a, config=config)
     sat_eq = ideal_equal(sat_aprime, sat_a)
-    unsat_eq = ideal_equal(I_a, fitting_ideal(erase_first_row(T), n, ring)) if n == 2 else None
+    unsat_eq = ideal_equal(I_a, fitting_ideal(T.minors(), n, rows=range(1, n + 1))) if n == 2 else None
     ok = sat_eq and (unsat_eq is not False)
     return RingConditionReport(
         "pass" if ok else "fail", None, sat_eq, unsat_eq, sat_aprime, sat_a
@@ -256,7 +259,7 @@ def conductor_ideal(
         report = ring_condition_check(T, config=config)
     if not report.passed:
         raise ContractError(f"ring condition does not pass (status: {report.status})")
-    surrogate = fitting_ideal(T.full_matrix(), T.n + 1, T.ring)
+    surrogate = fitting_ideal(T.minors(), T.n + 1)
     return Ideal(T.ring, list(report.sat_aprime.generators) + list(surrogate.generators))
 
 
@@ -347,19 +350,6 @@ class MultiplicationTable:
         return d, linalg.vecmat(np.concatenate(coefs), stacked, ring.field)
 
 
-def _adjugate(M: PolyMatrix, ring: PolyRing) -> PolyMatrix:
-    k = len(M)
-    memo: dict = {}
-    adj = [[ring.zero()] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            rows_sel = tuple(r for r in range(k) if r != j)
-            cols_sel = tuple(c for c in range(k) if c != i)
-            cof = matrix_minor(M, rows_sel, cols_sel, ring, memo)
-            adj[i][j] = cof if (i + j) % 2 == 0 else -cof
-    return adj
-
-
 def multiplication_table(
     T: SymmetricTableau,
     columns: Optional[Tuple[int, ...]] = None,
@@ -378,24 +368,20 @@ def multiplication_table(
     ring = T.ring
     field = ring.field
     n = T.n
-    full = T.full_matrix()
-    surrogate = fitting_ideal(full, n + 1, ring)
-
-    chosen = None
-    candidates = [columns] if columns is not None else list(combinations(range(2 * n + 2), n))
+    minors = T.minors()
+    candidates = combinations(range(2 * n + 2), n) if columns is None else [minors.columns(columns, n)]
+    surrogate = fitting_ideal(minors, n + 1)
+    # D = det(M'), M' the chosen columns of A'; the numerator N_k, det(M')
+    # with row k replaced by the first row of A, is (-1)^k times the minor
+    # of A on the rows other than k
     for cols in candidates:
-        mprime = [[full[i][c] for c in cols] for i in range(1, n + 1)]
-        d = matrix_minor(mprime, tuple(range(n)), tuple(range(n)), ring)
-        if not d.is_zero() and not graded_membership(d, surrogate):
-            chosen = (tuple(cols), mprime, d)
+        D = minors(range(1, n + 1), cols)
+        if not D.is_zero() and not graded_membership(D, surrogate):
             break
-    if chosen is None:
+    else:
         raise ContractError("no invertible submatrix found: every candidate det lies in I_{n+1}(A)")
-    cols, mprime, D = chosen
-
-    adj = _adjugate(mprime, ring)
-    m_row = [full[0][c] for c in cols]
-    numerators = [D] + [-s for s in poly_matmul([m_row], adj, ring)[0]]
+    cramer = [minors(tuple(r for r in range(n + 1) if r != k), cols) for k in range(1, n + 1)]
+    numerators = [D] + [N if k % 2 == 0 else -N for k, N in enumerate(cramer, 1)]
 
     # unknowns: c0 (degree 4) against D^2, c_k (degree 2) against N_k D, then
     # the multipliers of the ideal's rows

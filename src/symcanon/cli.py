@@ -31,7 +31,7 @@ from .normalform import reduce_k11
 from .paramgen import ledger, realize, sample
 from .poly import poly_to_string
 from .serialize import dumps
-from .tableau import erase_first_row, fitting_ideal
+from .tableau import fitting_ideal
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -162,9 +162,8 @@ def _cmd_koszul_type(args) -> int:
 
 def _cmd_fitting(args) -> int:
     T = serialize.tableau_from_json(_read_json(args.input))
-    matrix = erase_first_row(T) if args.erased else T.full_matrix()
     k = args.size if args.size is not None else (T.n if args.erased else T.n + 1)
-    ideal = fitting_ideal(matrix, k, T.ring)
+    ideal = fitting_ideal(T.minors(), k, rows=range(1, T.n + 1) if args.erased else None)
     _write_text(args.output, dumps(serialize.ideal_to_json(ideal, reduced=args.reduced)))
     return EXIT_PASS
 

@@ -5,6 +5,8 @@ forms in the first row, linear forms elsewhere, and satisfies the exact
 symmetry alpha beta^t = beta alpha^t.  The six symmetry-preserving moves
 (row mixes fixing the first row, the four column-coupling moves, pair swaps
 and pair rotations) act on it; together they realize the PGl x PSp action.
+Each tableau holds one lazily filled table of the minors of A (``Minors``):
+every Fitting ideal, Cramer numerator and block determinant is a read of it.
 Scalar tableaux (the n x (2n+2) degree-0 analogue) share the same move
 engine: every column move is its symplectic scalar matrix.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -97,6 +100,7 @@ class SymmetricTableau:
         self.n = m - 1
         self.alpha = [list(r) for r in alpha]
         self.beta = [list(r) for r in beta]
+        self._minors: Optional[Minors] = None
 
     # -- views ---------------------------------------------------------------
 
@@ -107,6 +111,14 @@ class SymmetricTableau:
     def full_matrix(self) -> PolyMatrix:
         """A = (alpha beta), an (n+1) x (2n+2) matrix."""
         return [ar + br for ar, br in zip(self.alpha, self.beta)]
+
+    def minors(self) -> "Minors":
+        """The table of minors of A, rebuilt when the blocks no longer give
+        the matrix it was built from (they can be edited in place)."""
+        full = self.full_matrix()
+        if self._minors is None or self._minors.matrix != full:
+            self._minors = Minors(full, self.ring)
+        return self._minors
 
     def row(self, i: int) -> List[Polynomial]:
         return self.alpha[i] + self.beta[i]
@@ -294,7 +306,7 @@ def act_on_blocks(T, G: Optional[List[List[Scalar]]], S: List[List[Scalar]]):
     """
     ring = T.ring
     w = len(T.alpha)
-    full = [ar + br for ar, br in zip(T.alpha, T.beta)]
+    full = T.full_matrix()
     full = [[_combination(col, row, ring) for col in zip(*S)] for row in full]
     if G is not None:
         by_col = list(zip(*full))
@@ -342,50 +354,63 @@ def apply_symplectic(T, S: List[List[Scalar]]):
 # -- Fitting ideals and the degeneracy scheme -----------------------------------
 
 
-def matrix_minor(rows: PolyMatrix, row_idx: Tuple[int, ...], col_idx: Tuple[int, ...], ring: PolyRing, _memo=None) -> Polynomial:
-    """Determinant of a square submatrix by cofactor recursion, memoized on
-    the(row, column) index pair."""
-    if _memo is None:
-        _memo = {}
-    key = (row_idx, col_idx)
-    if key in _memo:
-        return _memo[key]
-    k = len(row_idx)
-    if k == 0:
-        return ring.one()
-    if k == 1:
-        result = rows[row_idx[0]][col_idx[0]]
-    else:
-        result = ring.zero()
-        r0 = row_idx[0]
-        rest_rows = row_idx[1:]
-        for pos, c in enumerate(col_idx):
-            entry = rows[r0][c]
-            if entry.is_zero():
+class Minors:
+    """The minors of one matrix, filled lazily and keyed by (rows, columns).
+
+    ``minors(rows, cols)`` is the determinant of the submatrix on those
+    index tuples, columns in the listed order, by cofactor expansion along
+    the first selected row; every minor formed on the way is kept, so each
+    key is expanded once per table.  The table holds polynomials only.
+    """
+
+    def __init__(self, matrix: PolyMatrix, ring: PolyRing):
+        self.matrix = [list(r) for r in matrix]
+        self.ring = ring
+        self.ncols = len(self.matrix[0]) if self.matrix else 0
+        self._table: dict = {}
+
+    def __call__(self, rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
+        key = (tuple(rows), tuple(cols))
+        if key not in self._table:
+            self._table[key] = self._expand(*key)
+        return self._table[key]
+
+    def columns(self, cols: Sequence[int], count: Optional[int] = None) -> Tuple[int, ...]:
+        """A caller's column selection as a tuple, refused unless each entry
+        is a column index and, when count is given, there are count distinct
+        entries.  The minors themselves do not check indices."""
+        sel = tuple(cols)
+        if not all(isinstance(c, int) and 0 <= c < self.ncols for c in sel) or (
+            count is not None and not len(sel) == len(set(sel)) == count
+        ):
+            need = "indices" if count is None else f"{count} distinct indices"
+            raise ContractError(f"column selection {list(sel)}: need {need} in 0..{self.ncols - 1}")
+        return sel
+
+    def _expand(self, rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Polynomial:
+        if not rows:
+            return self.ring.one()
+        head = self.matrix[rows[0]]
+        if len(rows) == 1:
+            return head[cols[0]]
+        result = self.ring.zero()
+        for pos, c in enumerate(cols):
+            if head[c].is_zero():
                 continue
-            sub = matrix_minor(
-                rows, rest_rows, col_idx[:pos] + col_idx[pos + 1 :], ring, _memo
-            )
-            term = entry * sub
+            term = head[c] * self(rows[1:], cols[:pos] + cols[pos + 1 :])
             result = result + term if pos % 2 == 0 else result - term
-    _memo[key] = result
-    return result
+        return result
 
 
-def fitting_ideal(M: PolyMatrix, k: int, ring: PolyRing) -> Ideal:
-    """Ideal of all k x k minors of M."""
-    from itertools import combinations
-
-    nrows = len(M)
-    ncols = len(M[0]) if M else 0
-    if not 0 < k <= min(nrows, ncols):
-        raise ContractError(f"minor size {k} out of range for {nrows} x {ncols}")
-    memo: dict = {}
-    gens = []
-    for rows_sel in combinations(range(nrows), k):
-        for cols_sel in combinations(range(ncols), k):
-            gens.append(matrix_minor(M, rows_sel, cols_sel, ring, memo))
-    return Ideal(ring, gens)
+def fitting_ideal(minors: Minors, k: int, rows: Optional[Sequence[int]] = None) -> Ideal:
+    """Ideal of the k x k minors on the given rows (all rows by default),
+    read from the table; generators in ``combinations`` order of rows, then
+    columns."""
+    rows = range(len(minors.matrix)) if rows is None else rows
+    if not 0 < k <= min(len(rows), minors.ncols):
+        raise ContractError(f"minor size {k} out of range for {len(rows)} x {minors.ncols}")
+    pairs = [(r, c) for r in combinations(rows, k) for c in combinations(range(minors.ncols), k)]
+    return Ideal(minors.ring, [minors(r, c) for r, c in pairs])
 
 
 def erase_first_row(T: SymmetricTableau) -> PolyMatrix:
@@ -405,8 +430,7 @@ class DegeneracyScheme:
 def degeneracy_scheme(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> DegeneracyScheme:
     """Saturated I_n(A') together with finiteness, reducedness and the
     distinct-point count; the nonnormal locus of the surface."""
-    aprime = erase_first_row(T)
-    I = fitting_ideal(aprime, T.n, T.ring)
+    I = fitting_ideal(T.minors(), T.n, rows=range(1, T.n + 1))
     sat = saturate(I, config=config)
     if not sat.generators:
         # rank drops everywhere: the whole projective space degenerates

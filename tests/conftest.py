@@ -201,3 +201,45 @@ def groebner_multiplication_operator(sat, form, source, target):
         for Y, c in _normal_form_terms([(X + Z, c) for Z, c in form_terms], reducers, pk.p, pk.guard):
             out[row[Y]][j] = c
     return out
+
+
+def matrix_minor(rows, row_idx, col_idx, ring, _memo=None):
+    """The earlier cofactor recursion along the first selected row, memoized
+    on the (row, column) index pair."""
+    if _memo is None:
+        _memo = {}
+    key = (row_idx, col_idx)
+    if key in _memo:
+        return _memo[key]
+    k = len(row_idx)
+    if k == 0:
+        return ring.one()
+    if k == 1:
+        result = rows[row_idx[0]][col_idx[0]]
+    else:
+        result = ring.zero()
+        r0 = row_idx[0]
+        rest_rows = row_idx[1:]
+        for pos, c in enumerate(col_idx):
+            entry = rows[r0][c]
+            if entry.is_zero():
+                continue
+            sub = matrix_minor(rows, rest_rows, col_idx[:pos] + col_idx[pos + 1 :], ring, _memo)
+            term = entry * sub
+            result = result + term if pos % 2 == 0 else result - term
+    _memo[key] = result
+    return result
+
+
+def adjugate(M, ring):
+    """The earlier adjugate of a square polynomial matrix, by cofactors."""
+    k = len(M)
+    memo = {}
+    adj = [[ring.zero()] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            rows_sel = tuple(r for r in range(k) if r != j)
+            cols_sel = tuple(c for c in range(k) if c != i)
+            cof = matrix_minor(M, rows_sel, cols_sel, ring, memo)
+            adj[i][j] = cof if (i + j) % 2 == 0 else -cof
+    return adj

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ from symcanon.errors import BudgetExceededError, ContractError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import Ideal, codimension, ideal_equal, ideal_quotient, saturate
 from symcanon.poly import PolyRing, parse_poly
-from symcanon.tableau import OpMove, matrix_minor
+from symcanon.tableau import Minors, OpMove
 
 from conftest import random_linear, random_move_word
 
@@ -104,8 +105,8 @@ def test_plucker_wrong_signs_nonzero(ring):
     for chosen in combinations(range(3), 2):
         rest = [i for i in range(3) if i not in chosen]
         inversions = sum(1 for i in chosen for j in rest if j < i)
-        first = matrix_minor(M, all_rows, tuple(c_cols[i] for i in chosen), ring, {})
-        second = matrix_minor(M, all_rows, (c_cols[rest[0]], b_cols[0]), ring, {})
+        first = Minors(M, ring)(all_rows, tuple(c_cols[i] for i in chosen))
+        second = Minors(M, ring)(all_rows, (c_cols[rest[0]], b_cols[0]))
         term = first * second
         sign = 1 if inversions % 2 == 0 else -1
         if flip:
@@ -119,6 +120,16 @@ def test_plucker_arity_errors(ring):
     M = [[ring.zero()] * 4 for _ in range(2)]
     with pytest.raises(ContractError):
         plucker_residual(M, [0], [3], [0, 1], ring)
+
+
+@pytest.mark.parametrize(
+    "a_cols,b_cols,c_cols,bad",
+    [([], [-1], [0, 1, 2], [-1]), ([], [3], [0, 1, 9], [0, 1, 9]), ([5], [], [0, 1, 2], [5])],
+)
+def test_plucker_refuses_a_column_outside_the_matrix(ring, a_cols, b_cols, c_cols, bad):
+    M = [[random_linear(ring, DetRng(6)) for _ in range(4)] for _ in range(2)]
+    with pytest.raises(ContractError, match=re.escape(str(bad))):
+        plucker_residual(M, a_cols, b_cols, c_cols, ring)
 
 
 # -- nonzerodivisor test --------------------------------------------------------------
@@ -158,10 +169,10 @@ def test_scrambled_pairs_certify(seed):
 
 def test_singular_alpha_start():
     pair = singular_alpha_pair(31)
-    assert bc._det_block(pair.alpha, pair.ring).is_zero()
+    assert bc._det(pair, 0).is_zero()
     joined = [ar + br for ar, br in zip(pair.alpha, pair.beta)]
     gens = [
-        matrix_minor(joined, (0, 1), cols, pair.ring, {})
+        Minors(joined, pair.ring)((0, 1), cols)
         for cols in combinations(range(4), 2)
     ]
     assert codimension(Ideal(pair.ring, gens)) == 2
@@ -184,10 +195,10 @@ def test_cokernel_invariance():
     before = [ar + br for ar, br in zip(pair.alpha, pair.beta)]
     after = [ar + br for ar, br in zip(cert.result.alpha, cert.result.beta)]
     gens_before = [
-        matrix_minor(before, (0, 1), cols, pair.ring, {}) for cols in combinations(range(4), 2)
+        Minors(before, pair.ring)((0, 1), cols) for cols in combinations(range(4), 2)
     ]
     gens_after = [
-        matrix_minor(after, (0, 1), cols, pair.ring, {}) for cols in combinations(range(4), 2)
+        Minors(after, pair.ring)((0, 1), cols) for cols in combinations(range(4), 2)
     ]
     s1 = saturate(Ideal(pair.ring, gens_before))
     s2 = saturate(Ideal(pair.ring, gens_after))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -36,12 +37,13 @@ from symcanon.ideals import (
     point_count,
     saturate,
 )
-from symcanon import canonical, linalg
+from symcanon import canonical, linalg, poly, tableau
+from symcanon.paramgen import realize, sample
 from symcanon.poly import PolyRing, graded_basis, graded_piece, parse_poly
 from symcanon.serialize import render_report
-from symcanon.tableau import SymmetricTableau, check_symmetry, degeneracy_scheme, fitting_ideal
+from symcanon.tableau import Minors, SymmetricTableau, check_symmetry, degeneracy_scheme, fitting_ideal
 
-from conftest import coeff_matrix, k2_10_fixture, random_linear
+from conftest import GOLDEN_SEEDS, adjugate, coeff_matrix, k2_10_fixture, matmul_poly, matrix_minor, random_linear
 
 
 def test_resolution_shapes_and_composite(golden_tableau):
@@ -102,15 +104,15 @@ def test_acyclicity_alpha_equals_beta_fails(golden_tableau):
 
 
 def _minors_up_to_sign(M, k, ring):
-    return Counter(frozenset((g, -g)) for g in fitting_ideal(M, k, ring).generators)
+    return Counter(frozenset((g, -g)) for g in fitting_ideal(Minors(M, ring), k).generators)
 
 
 def _raw_pair(ring, seed, size=3):
     # alpha and beta of linear forms with no symmetry, outside the constructor
     rng = DetRng(seed)
     alpha, beta = ([[random_linear(ring, rng) for _ in range(size)] for _ in range(size)] for _ in range(2))
-    full = [a + b for a, b in zip(alpha, beta)]
-    return SimpleNamespace(ring=ring, n=size - 1, alpha=alpha, beta=beta, full_matrix=lambda: full)
+    table = Minors([a + b for a, b in zip(alpha, beta)], ring)
+    return SimpleNamespace(ring=ring, n=size - 1, alpha=alpha, beta=beta, minors=lambda: table)
 
 
 @pytest.mark.parametrize("case", ["golden", "k2_10_q", "raw_pair"])
@@ -134,7 +136,7 @@ def _own_fitting_report(R):
     # shared-ideal argument acyclicity_check rests on
     out = []
     for M in (R.first_map, R.second_map):
-        ideal = fitting_ideal(M, R.n + 1, R.ring)
+        ideal = fitting_ideal(Minors(M, R.ring), R.n + 1)
         ok = any(not g.is_zero() for g in ideal.generators)
         out.append((ok, codimension(ideal) if ok else 0))
     return out
@@ -160,17 +162,35 @@ def test_acyclicity_matches_each_maps_own_fitting_ideal(golden_tableaux, case):
         assert codim1 == 2
 
 
-def test_verify_builds_the_surface_fitting_ideal_once(golden_tableau, monkeypatch):
-    sizes = []
+def test_verify_builds_the_surface_fitting_ideal_once(Fp, monkeypatch):
+    # a freshly realized tableau, as a session fixture may hold a filled
+    # table: one I_{n+1}(A), each minor expanded once, at most 308
+    # polynomial products (368 when each check formed its own minors)
+    T = realize(sample(GOLDEN_SEEDS[0], Fp))
+    sizes, keys, products = [], [], []
     build = canonical.fitting_ideal
+    expand = tableau.Minors._expand
+    multiply = poly.Polynomial.__mul__
 
-    def counted(M, k, ring):
+    def counted(minors, k, rows=None):
         sizes.append(k)
-        return build(M, k, ring)
+        return build(minors, k, rows)
+
+    def counted_expand(table, rows, cols):
+        keys.append((rows, cols))
+        return expand(table, rows, cols)
+
+    def counted_mul(f, g):
+        products.append(1)
+        return multiply(f, g)
 
     monkeypatch.setattr(canonical, "fitting_ideal", counted)
-    assert verify_instance(golden_tableau).overall
-    assert sizes.count(golden_tableau.n + 1) == 1
+    monkeypatch.setattr(tableau.Minors, "_expand", counted_expand)
+    monkeypatch.setattr(poly.Polynomial, "__mul__", counted_mul)
+    assert verify_instance(T).overall
+    assert sizes.count(T.n + 1) == 1
+    assert keys and len(keys) == len(set(keys))
+    assert len(products) <= 308
 
 
 def test_verify_reports_a_tableau_edited_after_construction(golden_tableau):
@@ -295,6 +315,31 @@ def test_multiplication_table_choice_independence(golden_tableau):
             continue
     assert alt is not None
     assert tables_agree(t1, alt)
+
+
+@pytest.mark.parametrize("case", ["seed0", "seed3", "k2_10_gf"])
+def test_cramer_numerators_match_the_adjugate(golden_tableaux, case):
+    # D and N_k read from the minor table against det(M') and the product of
+    # the first row with the adjugate of M'
+    if case.startswith("seed"):
+        T = golden_tableaux[GOLDEN_SEEDS.index(int(case[-1]))]
+    else:
+        T = k2_10_fixture(GF(DEFAULT_PRIME))
+    ring, n = T.ring, T.n
+    table = multiplication_table(T)
+    full = T.full_matrix()
+    mprime = [[full[i][c] for c in table.columns] for i in range(1, n + 1)]
+    D = matrix_minor(mprime, tuple(range(n)), tuple(range(n)), ring)
+    m_row = [full[0][c] for c in table.columns]
+    N = [-s for s in matmul_poly([m_row], adjugate(mprime, ring), ring)[0]]
+    assert table.denominator == D
+    assert table.numerators == [D] + N
+
+
+@pytest.mark.parametrize("columns", [(-1, 0), (0,), (7, 0), (0, 1, 2), (1, 1)])
+def test_multiplication_table_refuses_a_bad_column_selection(golden_tableau, columns):
+    with pytest.raises(ContractError, match=re.escape(str(list(columns)))):
+        multiplication_table(golden_tableau, columns=columns)
 
 
 def test_multiplication_table_groebner_cross_check(golden_tableau):

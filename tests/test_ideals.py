@@ -33,7 +33,7 @@ from symcanon.ideals import (
 from symcanon.orders import GREVLEX, LEX, elimination, grevlex_with_last
 from symcanon.poly import EXPONENT_BOUND, PolyRing, graded_piece, parse_poly
 from symcanon.paramgen import realize, sample
-from symcanon.tableau import erase_first_row, fitting_ideal
+from symcanon.tableau import Minors, erase_first_row, fitting_ideal
 
 from conftest import (
     groebner_multiplication_operator,
@@ -320,8 +320,8 @@ def test_hilbert_function_matches_graded_rank(golden_tableau):
     # GF(32003) and of k2_10_fixture over Q
     for T in (golden_tableau, k2_10_fixture(QQ)):
         for ideal in (
-            fitting_ideal(erase_first_row(T), T.n, T.ring),
-            fitting_ideal(T.full_matrix(), T.n + 1, T.ring),
+            fitting_ideal(Minors(erase_first_row(T), T.ring), T.n),
+            fitting_ideal(Minors(T.full_matrix(), T.ring), T.n + 1),
         ):
             ring = ideal.ring
             for d in range(7):
@@ -345,7 +345,7 @@ def test_fixed_degree_questions_make_no_groebner_call(golden_tableau, monkeypatc
     for name in ("groebner_basis", "_Packing", "_normal_form_terms"):
         monkeypatch.setattr(ideals, name, refuse(name))
     T = golden_tableau
-    ideal = fitting_ideal(erase_first_row(T), T.n, T.ring)
+    ideal = fitting_ideal(Minors(erase_first_row(T), T.ring), T.n)
     assert [hilbert_function(ideal, d) for d in range(4)] == [1, 5, 3, 3]
     source, target = _standard_monomials(ideal, 2), _standard_monomials(ideal, 3)
     op = _multiplication_operator(ideal, random_linear(T.ring, DetRng(5)), source, target)
@@ -360,7 +360,7 @@ def test_point_operators_match_groebner(field, seed):
     # ones that divide by the truncated Groebner basis, entry for entry
     F = GF(DEFAULT_PRIME) if field == "gf" else QQ
     T = realize(sample(seed, F))
-    sat = saturate(fitting_ideal(erase_first_row(T), T.n, T.ring))
+    sat = saturate(fitting_ideal(Minors(erase_first_row(T), T.ring), T.n))
     rng = DetRng(100 + seed)
     for m in (1, 2):
         source, target = _standard_monomials(sat, m), _standard_monomials(sat, m + 1)
@@ -380,7 +380,7 @@ def test_echelon_reduce_is_normal_form(field, golden_tableau):
     # and outside it
     T = golden_tableau if field == "gf" else k2_10_fixture(QQ)
     ring = T.ring
-    ideal = fitting_ideal(T.full_matrix(), T.n + 1, ring)
+    ideal = fitting_ideal(Minors(T.full_matrix(), ring), T.n + 1)
     rng = DetRng(17)
     top = max(g.degree() for g in ideal.generators)
     for d in (top, top + 1):
@@ -406,7 +406,7 @@ def test_reduced_bases_pinned(golden_tableau):
     # printed reduced bases of golden seed 0's I_n(A'), pinned from the
     # tuple-keyed engine that the packed one replaced
     T = golden_tableau
-    gens = fitting_ideal(erase_first_row(T), T.n, T.ring).generators
+    gens = fitting_ideal(Minors(erase_first_row(T), T.ring), T.n).generators
     pins = [
         (GREVLEX, "088cbddb3e03b377ad6fab9df1e7848eae704841747f75b96fb18f998fae0f34"),
         (grevlex_with_last(5, 2), "d3019262c2837f6be50715ae7af956fb1373afe5e9284be060367ad866a06a09"),

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from symcanon import linalg
+from symcanon.basechange import SquareSymmetricPair
 from symcanon.errors import ContractError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import Ideal, ideal_contains, ideal_equal, saturate
 from symcanon.poly import PolyRing, parse_poly, poly_matmul
 from symcanon.tableau import (
+    Minors,
     OpMove,
     ScalarTableau,
     SymmetricTableau,
@@ -24,7 +28,7 @@ from symcanon.tableau import (
     symplectic_defect,
 )
 
-from conftest import k2_10_fixture, random_linear, random_move_word
+from conftest import GOLDEN_SEEDS, k2_10_fixture, matrix_minor, random_linear, random_move_word
 
 
 @pytest.fixture(scope="module")
@@ -271,8 +275,8 @@ def test_fitting_examples():
     ring = PolyRing(field=QQ)
     x = ring.gens()
     m = [[x[0], x[1]], [x[2], x[3]]]
-    assert ideal_equal(fitting_ideal(m, 1, ring), Ideal(ring, [x[0], x[1], x[2], x[3]]))
-    assert ideal_equal(fitting_ideal(m, 2, ring), Ideal(ring, [x[0] * x[3] - x[1] * x[2]]))
+    assert ideal_equal(fitting_ideal(Minors(m, ring), 1), Ideal(ring, [x[0], x[1], x[2], x[3]]))
+    assert ideal_equal(fitting_ideal(Minors(m, ring), 2), Ideal(ring, [x[0] * x[3] - x[1] * x[2]]))
     m2 = [[x[0], x[1], x[2]], [x[3], x[4], x[0]]]
     expect = Ideal(
         ring,
@@ -282,9 +286,9 @@ def test_fitting_examples():
             x[1] * x[0] - x[2] * x[4],
         ],
     )
-    assert ideal_equal(fitting_ideal(m2, 2, ring), expect)
+    assert ideal_equal(fitting_ideal(Minors(m2, ring), 2), expect)
     with pytest.raises(ContractError):
-        fitting_ideal(m2, 3, ring)
+        fitting_ideal(Minors(m2, ring), 3)
 
 
 def test_fitting_containment_and_invariance(ring):
@@ -292,15 +296,64 @@ def test_fitting_containment_and_invariance(ring):
     from conftest import random_linear
 
     m = [[random_linear(ring, rng) for _ in range(4)] for _ in range(3)]
-    f1 = fitting_ideal(m, 1, ring)
-    f2 = fitting_ideal(m, 2, ring)
-    f3 = fitting_ideal(m, 3, ring)
+    f1 = fitting_ideal(Minors(m, ring), 1)
+    f2 = fitting_ideal(Minors(m, ring), 2)
+    f3 = fitting_ideal(Minors(m, ring), 3)
     assert all(ideal_contains(f2, g) for g in f3.generators)
     assert all(ideal_contains(f1, g) for g in f2.generators)
     # row operation: add twice row 0 to row 1
     m2 = [row[:] for row in m]
     m2[1] = [a + b.scale(ring.field.of_int(2)) for a, b in zip(m2[1], m[0])]
-    assert ideal_equal(fitting_ideal(m2, 2, ring), f2)
+    assert ideal_equal(fitting_ideal(Minors(m2, ring), 2), f2)
+
+
+def _table_case(case, golden_tableaux):
+    if case.startswith("seed"):
+        return golden_tableaux[GOLDEN_SEEDS.index(int(case[4:]))].minors()
+    if case.startswith("k2_10"):
+        return k2_10_fixture(GF(DEFAULT_PRIME) if case == "k2_10_gf" else QQ).minors()
+    ring = PolyRing(field=GF(DEFAULT_PRIME))
+    rng = DetRng(23)
+    if case == "raw_3x6":
+        return Minors([[random_linear(ring, rng) for _ in range(6)] for _ in range(3)], ring)
+    diag = [[[random_linear(ring, rng) if i == j else ring.zero() for j in range(3)] for i in range(3)] for _ in range(2)]
+    pair = SquareSymmetricPair(ring, *diag).apply_word(random_move_word(rng, 8, 3, ring.field))
+    return pair.minors()
+
+
+@pytest.mark.parametrize(
+    "case", [f"seed{s}" for s in GOLDEN_SEEDS] + ["k2_10_gf", "k2_10_q", "raw_3x6", "square_pair"]
+)
+def test_minor_table_matches_the_cofactor_oracle(golden_tableaux, case):
+    # every entry the Fitting ideals of every size fill equals the earlier
+    # cofactor recursion
+    table = _table_case(case, golden_tableaux)
+    M, ring = table.matrix, table.ring
+    for k in range(1, len(M) + 1):
+        fitting_ideal(table, k)
+    memo = {}
+    assert len(table._table) > len(M) * len(M[0])
+    for (rows, cols), value in table._table.items():
+        assert value == matrix_minor(M, rows, cols, ring, memo), (rows, cols)
+
+
+def test_minor_table_follows_an_edit_in_place(golden_tableau):
+    # a deep copy carries the filled table; editing a block in place must
+    # not leave the copy reading its stale minors
+    T = golden_tableau
+    n, ring = T.n, T.ring
+    before = fitting_ideal(T.minors(), n + 1)
+    T2 = copy.deepcopy(T)
+    T2.alpha[1][1] = T2.alpha[1][1] + ring.gens()[0]
+    fresh = fitting_ideal(Minors(T2.full_matrix(), ring), n + 1)
+    assert fresh.generators != before.generators
+    assert fitting_ideal(T2.minors(), n + 1).generators == fresh.generators
+
+
+def test_fitting_ideal_on_rows_is_the_ideal_of_the_erased_matrix(golden_tableau):
+    T = golden_tableau
+    erased = fitting_ideal(Minors(erase_first_row(T), T.ring), T.n)
+    assert fitting_ideal(T.minors(), T.n, rows=range(1, T.n + 1)).generators == erased.generators
 
 
 def test_erase_first_row_roundtrip(golden_tableau):
