@@ -2,14 +2,14 @@
 
 Over the graded polynomial ring (a domain) the first phase of the
 good-minor argument reduces to making det(alpha) nonzero, and the second
-asks that det(beta) be a nonzerodivisor modulo (det(alpha)), tested through
-ideal quotients rather than associated primes.  The searches mirror the
-overlap-minimality bookkeeping of the proof: a maximal minor mixing an
-alpha-column and the matching beta-column ("not good") is traded, via the
-move adding zeta*alpha_H to beta_L and zeta*alpha_L to beta_H, for one with
-strictly smaller overlap, the Pluecker relations guaranteeing the trade
-works for generic zeta.  Multipliers come from a seeded sequence and every
-step is verified; budgets fail loudly.
+asks that det(beta) be a nonzerodivisor modulo (det(alpha)), tested as a
+codimension: the two determinants must generate an ideal of codimension at
+least 2.  The searches mirror the overlap-minimality bookkeeping of the
+proof: a maximal minor mixing an alpha-column and the matching beta-column
+("not good") is traded, via the move adding zeta*alpha_H to beta_L and
+zeta*alpha_L to beta_H, for one with strictly smaller overlap, the Pluecker
+relations guaranteeing the trade works for generic zeta.  Multipliers come
+from a seeded sequence and every step is verified; budgets fail loudly.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceededError, ContractError
 from .fields import DetRng
-from .ideals import DEFAULT_GB_CONFIG, GBConfig, Ideal, ideal_equal, ideal_quotient
+from .ideals import DEFAULT_GB_CONFIG, GBConfig, Ideal, codimension
 from .poly import Polynomial, PolyRing
 from .tableau import (
     Minors,
@@ -154,13 +154,15 @@ def plucker_residual(
 
 
 def is_nzd_mod(f: Polynomial, I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> bool:
-    """f is a nonzerodivisor on ring/I iff (I : f) = I; over the zero ideal
-    this is just f != 0."""
+    """f is a nonzerodivisor on ring/(a) iff f and a share no prime factor
+    (the ring is factorial), iff codim (a, f) >= 2; over (0), iff f != 0."""
     if f.is_zero():
         raise ContractError("nonzerodivisor test on the zero element")
     if I.is_zero():
         return True
-    return ideal_equal(ideal_quotient(I, f, config=config), I)
+    if len(I.generators) != 1:
+        raise ContractError("nonzerodivisor test modulo a principal ideal only")
+    return codimension(Ideal(I.ring, [I.generators[0], f]), config=config) >= 2
 
 
 @dataclass
@@ -178,7 +180,7 @@ class BaseChangeCert:
 
     def reverify(self, original: PairLike, config: GBConfig = DEFAULT_GB_CONFIG) -> bool:
         """Independent re-check: replay the moves, recompute both
-        determinants and re-run the quotient test."""
+        determinants and re-run the nonzerodivisor test."""
         current = apply_op_word(original, self.moves)
         da, db = _det(current, 0), _det(current, 1)
         if da != self.det_alpha or db != self.det_beta or da.is_zero():
@@ -205,8 +207,8 @@ def make_koszul_type(
     Phase 1 walks the overlap of a nonzero maximal minor down to a good
     (disjoint) one and then folds the beta-columns of that minor into alpha;
     phase 2 perturbs beta by alpha-columns (alpha stays fixed) until the
-    quotient test passes.  Budget exhaustion reports the last state and is a
-    resource statement, never a mathematical verdict.
+    nonzerodivisor test passes.  Budget exhaustion reports the last state
+    and is a resource statement, never a mathematical verdict.
     """
     if T.ring.field.characteristic == 2:
         raise ContractError("base-change argument needs 2 invertible")
@@ -284,7 +286,7 @@ def make_koszul_type(
     while not passed:
         if trials >= trial_budget:
             raise BudgetExceededError(
-                "phase 2 quotient test failed within budget; last state "
+                "phase 2 nonzerodivisor test failed within budget; last state "
                 f"det(alpha) = {det_alpha}, det(beta) = {det_beta}"
             )
         H = trials % size
@@ -303,7 +305,7 @@ def make_koszul_type(
         det_beta = cand_det_beta
         passed = is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]), config=config)
 
-    # the quotient test that ended the loop is the certificate's witness;
+    # the nonzerodivisor test that ended the loop is the certificate's witness;
     # reverify recomputes it from the original input
     cert = BaseChangeCert(
         moves=moves,

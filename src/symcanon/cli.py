@@ -161,14 +161,17 @@ def _cmd_koszul_type(args) -> int:
 
 
 def _cmd_fitting(args) -> int:
+    cfg = resolve_config(args)
     T = serialize.tableau_from_json(_read_json(args.input))
     k = args.size if args.size is not None else (T.n if args.erased else T.n + 1)
     ideal = fitting_ideal(T.minors(), k, rows=range(1, T.n + 1) if args.erased else None)
-    _write_text(args.output, dumps(serialize.ideal_to_json(ideal, reduced=args.reduced)))
+    text = dumps(serialize.ideal_to_json(ideal, reduced=args.reduced, config=cfg.gb_config()))
+    _write_text(args.output, text)
     return EXIT_PASS
 
 
 def _cmd_invariants(args) -> int:
+    resolve_config(args)  # validates the configuration; the invariants use none of it
     T = serialize.tableau_from_json(_read_json(args.input))
     inv = invariants(build_resolution(T))
     _write_text(args.output, dumps(inv.to_json()))

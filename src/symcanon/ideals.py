@@ -9,10 +9,10 @@ answer the questions with no degree bound.  Auxiliary elimination variables
 carry weight 0, so the internal elimination runs remain homogeneous for the
 original grading.
 
-The saturation with respect to the irrelevant ideal follows the grevlex
-last-variable division rule (one basis per variable, then intersections);
-the general saturation is the stabilized iterated quotient.  The two routes
-are cross-checked in the test suite.
+The saturation reads (I : x_v^infty) off a grevlex basis with x_v last
+(Bayer-Stillman), starting at x4, whose basis is the plain grevlex one, and
+intersects in further variables only until the Hilbert polynomial certifies
+the result; the test suite checks it against the iterated quotient.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate, zip_longest
 from math import gcd
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -97,10 +98,6 @@ class Ideal:
     def contains_one(self) -> bool:
         gb = groebner_basis(self, GREVLEX)
         return any(g.degree() == 0 for g in gb)
-
-
-def irrelevant_ideal(ring: PolyRing) -> Ideal:
-    return Ideal(ring, ring.gens())
 
 
 # -- Buchberger on packed monomials ---------------------------------------------
@@ -481,15 +478,6 @@ def ideal_quotient(I: Ideal, f: Polynomial, config: GBConfig = DEFAULT_GB_CONFIG
     return Ideal(I.ring, [g.exact_divide(f) for g in meet.generators])
 
 
-def ideal_quotient_by_ideal(I: Ideal, J: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> Ideal:
-    if not J.generators:
-        raise ContractError("quotient by the zero ideal")
-    result = ideal_quotient(I, J.generators[0], config=config)
-    for g in J.generators[1:]:
-        result = ideal_intersection(result, ideal_quotient(I, g, config=config), config=config)
-    return result
-
-
 def _saturate_variable(I: Ideal, var: int, config: GBConfig) -> Ideal:
     """(I : x_var^infty) read off a grevlex basis with x_var smallest."""
     ring = I.ring
@@ -510,40 +498,24 @@ def _saturate_variable(I: Ideal, var: int, config: GBConfig) -> Ideal:
     return Ideal(ring, out)
 
 
-def _is_irrelevant(J: Ideal) -> bool:
-    gens = {g for g in J.generators}
-    return gens == set(J.ring.gens())
+def saturate(I: Ideal, *, config: GBConfig = DEFAULT_GB_CONFIG) -> Ideal:
+    """sat(I) = (I : (x0..x4)^infty).
 
-
-def saturate(
-    I: Ideal,
-    J: Optional[Ideal] = None,
-    config: GBConfig = DEFAULT_GB_CONFIG,
-) -> Ideal:
-    """(I : J^infty); J defaults to the irrelevant ideal (x0..x4).
-
-    Irrelevant saturation intersects the per-variable saturations, each of
-    which is exact from a single rotated-grevlex basis.  Any other J runs
-    the stabilized iterated quotient.
+    Each (I : x_v^infty) is saturated and contains sat(I), and so is any
+    intersection of them; such an ideal equals sat(I) exactly when its
+    Hilbert polynomial is I's.  So the loop intersects the per-variable
+    saturations, from x4 down, only until the Hilbert polynomials agree;
+    all of them together are sat(I).
     """
     ring = I.ring
-    if J is None:
-        J = irrelevant_ideal(ring)
-    if not J.generators:
-        raise ContractError("saturation with respect to the zero ideal")
     if I.is_zero():
         return Ideal(ring, [])
-    if _is_irrelevant(J):
-        result = _saturate_variable(I, 0, config)
-        for v in range(1, ring.nvars):
-            result = ideal_intersection(result, _saturate_variable(I, v, config), config=config)
-        return result
-    current = I
-    while True:
-        nxt = ideal_quotient_by_ideal(current, J, config=config)
-        if ideal_equal(nxt, current):
-            return current
-        current = nxt
+    result = None
+    for v in range(ring.nvars - 1, -1, -1):
+        part = _saturate_variable(I, v, config)
+        result = part if result is None else ideal_intersection(result, part, config=config)
+        if v == 0 or same_hilbert_polynomial(result, I, config=config):
+            return result
 
 
 # -- dimension, degree, radicality ---------------------------------------------
@@ -607,23 +579,39 @@ def _hilbert_numerator(monos: List[Monomial]) -> List[int]:
     return out
 
 
-def _numerator_at_one(I_sat: Ideal, order: MonomialOrder = GREVLEX) -> Tuple[int, int]:
+def _grevlex_numerator(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> List[int]:
+    """Hilbert numerator of ring/I, from the grevlex leading monomials."""
+    gb = groebner_basis(I, GREVLEX, config=config)
+    return _hilbert_numerator([g.leading_monomial(GREVLEX) for g in gb])
+
+
+def _divide_one_minus_t(num: List[int]) -> List[int]:
+    """num / (1 - t) by synthetic division; num must vanish at t = 1."""
+    return list(accumulate(num[:-1]))
+
+
+def same_hilbert_polynomial(I: Ideal, J: Ideal, *, config: GBConfig = DEFAULT_GB_CONFIG) -> bool:
+    """Whether ring/I and ring/J have the same Hilbert polynomial: their
+    Hilbert series are N_I(t), N_J(t) over (1-t)^n, and the polynomials
+    agree iff (1-t)^n divides N_I - N_J."""
+    if I.ring != J.ring:
+        raise RingMismatchError("Hilbert polynomials across rings")
+    a, b = _grevlex_numerator(I, config), _grevlex_numerator(J, config)
+    diff = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    for _ in range(I.ring.nvars):
+        if sum(diff):
+            return False
+        diff = _divide_one_minus_t(diff)
+    return True
+
+
+def _numerator_at_one(I_sat: Ideal) -> Tuple[int, int]:
     """(c, N1(1)) where the Hilbert numerator is (1-t)^c * N1 with N1(1) != 0."""
-    gb = groebner_basis(I_sat, order)
-    monos = [g.leading_monomial(order) for g in gb]
-    num = _hilbert_numerator(monos)
+    num = _grevlex_numerator(I_sat)
     c = 0
-    while sum(num) == 0:
-        # divide by (1 - t): synthetic division
-        acc = 0
-        quo = []
-        for coefficient in num[:-1]:
-            acc = coefficient + acc
-            quo.append(acc)
-        num = quo
+    while num and sum(num) == 0:
+        num = _divide_one_minus_t(num)
         c += 1
-        if not num:
-            return c, 0
     return c, sum(num)
 
 

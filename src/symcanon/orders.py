@@ -101,11 +101,11 @@ def elimination(block: int) -> MonomialOrder:
 
 
 def grevlex_with_last(nvars: int, last: int) -> MonomialOrder:
-    """Grevlex with variable ``last`` moved to the smallest position.
-
-    Saturation with respect to a single variable reads the result of a
-    Groebner basis under this order directly.
-    """
+    """Grevlex with variable ``last`` moved to the smallest position (GREVLEX
+    itself, with its cached bases, for the last variable).  Saturation by
+    that variable reads a Groebner basis under this order directly."""
+    if last == nvars - 1:
+        return GREVLEX
     perm = tuple([i for i in range(nvars) if i != last] + [last])
     return MonomialOrder("grevlex", permutation=perm)
 

@@ -4,7 +4,15 @@ import pytest
 
 from symcanon.errors import ContractError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
-from symcanon.ideals import _normal_form_terms, _Packing, groebner_basis
+from symcanon.ideals import (
+    Ideal,
+    _normal_form_terms,
+    _Packing,
+    groebner_basis,
+    ideal_equal,
+    ideal_intersection,
+    ideal_quotient,
+)
 from symcanon.koszul import RegularSequence, solve_skew
 from symcanon.orders import GREVLEX, monomial_divides
 from symcanon.paramgen import realize, sample
@@ -243,3 +251,31 @@ def adjugate(M, ring):
             cof = matrix_minor(M, rows_sel, cols_sel, ring, memo)
             adj[i][j] = cof if (i + j) % 2 == 0 else -cof
     return adj
+
+
+def irrelevant_ideal(ring):
+    return Ideal(ring, ring.gens())
+
+
+def ideal_quotient_by_ideal(I, J):
+    """The earlier (I : J): the intersection of the quotients by J's
+    generators."""
+    if not J.generators:
+        raise ContractError("quotient by the zero ideal")
+    result = ideal_quotient(I, J.generators[0])
+    for g in J.generators[1:]:
+        result = ideal_intersection(result, ideal_quotient(I, g))
+    return result
+
+
+def iterated_saturation(I, J=None):
+    """The earlier (I : J^infty), J the irrelevant ideal by default: the
+    iterated quotient, stopped when it stabilizes.  The oracle for
+    ``ideals.saturate``."""
+    J = irrelevant_ideal(I.ring) if J is None else J
+    current = I
+    while True:
+        nxt = ideal_quotient_by_ideal(current, J)
+        if ideal_equal(nxt, current):
+            return current
+        current = nxt

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from itertools import combinations
 
 import pytest
@@ -17,9 +18,12 @@ from symcanon.errors import BudgetExceededError, ContractError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import Ideal, codimension, ideal_equal, ideal_quotient, saturate
 from symcanon.poly import PolyRing, parse_poly
-from symcanon.tableau import Minors, OpMove
+from symcanon.canonical import verify_instance
+from symcanon.normalform import reduce_k11, verify_normal_shape
+from symcanon.paramgen import realize, sample
+from symcanon.tableau import Minors, OpMove, apply_op_word
 
-from conftest import random_linear, random_move_word
+from conftest import k2_10_fixture, random_linear, random_move_word
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +146,71 @@ def test_is_nzd_examples(ring):
     assert is_nzd_mod(x[0], Ideal(ring, []))
     with pytest.raises(ContractError):
         is_nzd_mod(ring.zero(), Ideal(ring, [x[0]]))
+    with pytest.raises(ContractError, match="principal"):
+        is_nzd_mod(x[2], Ideal(ring, [x[0], x[1]]))
+
+
+def _nzd_by_quotient(f, I):
+    """The earlier nonzerodivisor test: (I : f) = I."""
+    return ideal_equal(ideal_quotient(I, f), I)
+
+
+def test_is_nzd_matches_quotient_on_small_cases(ring):
+    x = ring.gens()
+    one = ring.one()
+    cases = [
+        (one, Ideal(ring, [x[0]])),
+        (x[0], Ideal(ring, [one.scale(3)])),
+        (x[0] * x[1] + x[2] * x[1], Ideal(ring, [x[1] * x[3] ** 2])),  # common factor x1
+        (x[0], Ideal(ring, [x[0] * x[1]])),
+        (x[0] ** 2 + x[3] * x[4], Ideal(ring, [x[1] * x[2] - x[0] ** 2])),
+    ]
+    verdicts = [is_nzd_mod(f, I) for f, I in cases]
+    assert verdicts == [_nzd_by_quotient(f, I) for f, I in cases]
+    assert verdicts == [True, True, False, False, True]
+
+
+def test_is_nzd_matches_quotient_on_the_search(monkeypatch):
+    # every (det beta, (det alpha)) that make_koszul_type meets
+    met = []
+
+    def recording(f, I, config=None):
+        met.append((f, I))
+        return is_nzd_mod(f, I)
+
+    monkeypatch.setattr(bc, "is_nzd_mod", recording)
+    make_koszul_type(k2_10_fixture(GF(DEFAULT_PRIME)), seed=0)
+    for pair, seed in ((diag_pair(21, 2), 1), (diag_pair(22, 3), 2), (singular_alpha_pair(31), 5)):
+        make_koszul_type(pair, seed=seed)
+    ring = met[0][0].ring
+    rng = DetRng(9)
+    alpha = [[random_linear(ring, rng) for _ in range(2)] for _ in range(2)]
+    with pytest.raises(BudgetExceededError):
+        make_koszul_type(SquareSymmetricPair(ring, alpha, [row[:] for row in alpha]), trial_budget=2)
+    verdicts = [is_nzd_mod(f, I) for f, I in met]
+    assert verdicts == [_nzd_by_quotient(f, I) for f, I in met]
+    assert True in verdicts and False in verdicts
+
+
+def test_no_elimination_on_verify_normalform_and_koszul_type(monkeypatch):
+    # sat I_n(A), the ring condition and the nonzerodivisor test need no
+    # elimination-order basis when the x4-saturation certifies
+    def refuse(*args, **kwargs):
+        raise AssertionError("elimination-order basis on a fast path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "symcanon" or name.startswith("symcanon."):
+            for attr in ("ideal_intersection", "ideal_quotient"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    T = realize(sample(0, GF(DEFAULT_PRIME)))
+    assert verify_instance(T).overall
+    scrambled = apply_op_word(T, random_move_word(DetRng(61), 10, 3, T.ring.field))
+    assert not verify_normal_shape(scrambled).ok
+    assert verify_normal_shape(reduce_k11(scrambled).tableau).ok
+    pair = diag_pair(23, 3)
+    cert = make_koszul_type(pair, seed=0)
+    assert cert.verified and cert.reverify(pair)
 
 
 # -- make_koszul_type -------------------------------------------------------------------

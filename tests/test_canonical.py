@@ -239,7 +239,26 @@ def test_ring_condition_invariant_under_moves(golden_tableau):
     rc2 = ring_condition_check(moved)
     assert rc1.passed and rc2.passed
     assert ideal_equal(rc1.sat_aprime, rc2.sat_aprime)
-    assert ideal_equal(rc1.sat_a, rc2.sat_a)
+
+
+def _ring_condition_by_saturation(T):
+    """The saturated equality decided the earlier way: saturate I_n(A) and
+    compare it with the scheme's ideal."""
+    scheme = degeneracy_scheme(T)
+    return ideal_equal(scheme.ideal, saturate(fitting_ideal(T.minors(), T.n)))
+
+
+def test_saturated_equal_matches_saturating_both(golden_tableaux):
+    T10 = k2_10_fixture(GF(DEFAULT_PRIME))
+    # a cubic added to the first row changes I_n(A) but not I_n(A')
+    perturbed = copy.deepcopy(golden_tableaux[0])
+    perturbed.alpha[0][0] = perturbed.alpha[0][0] + perturbed.ring.variable(4) ** 3
+    verdicts = []
+    for T in golden_tableaux + [T10, perturbed]:
+        rc = ring_condition_check(T)
+        assert rc.saturated_equal is _ring_condition_by_saturation(T)
+        verdicts.append(rc.saturated_equal)
+    assert verdicts == [True] * (len(golden_tableaux) + 1) + [False]
 
 
 def test_conductor(golden_tableau):
@@ -257,7 +276,7 @@ def test_conductor_k10():
 def test_conductor_requires_ring_condition(golden_tableau):
     from symcanon.canonical import RingConditionReport
 
-    failed = RingConditionReport("skipped", "degeneracy scheme not finite", None, None, None, None)
+    failed = RingConditionReport("skipped", "degeneracy scheme not finite", None, None, None)
     with pytest.raises(ContractError):
         conductor_ideal(golden_tableau, report=failed)
 

@@ -224,8 +224,17 @@ BAD_SETTINGS = {
 }
 
 
-@pytest.mark.parametrize("case", list(BAD_SETTINGS))
-def test_bad_settings_and_long_integers_exit_2(tmp_path, monkeypatch, capsys, golden_tableau, case):
+# every subcommand that reads a tableau resolves its settings; verify's
+# cases keep the bare case name as their id
+@pytest.mark.parametrize(
+    "case, command",
+    [
+        pytest.param(case, command, id=case if command == "verify" else f"{case}-{command}")
+        for command in ("verify", "fitting", "invariants")
+        for case in BAD_SETTINGS
+    ],
+)
+def test_bad_settings_and_long_integers_exit_2(tmp_path, monkeypatch, capsys, golden_tableau, case, command):
     # a malformed setting or an integer past the conversion limit is a
     # contract error (exit 2), never a verification failure or a traceback
     argv, env, config_text, edit = BAD_SETTINGS[case]
@@ -238,9 +247,16 @@ def test_bad_settings_and_long_integers_exit_2(tmp_path, monkeypatch, capsys, go
     monkeypatch.setenv("SYMCANON_CONFIG", str(config))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    assert main(["verify", str(path), *argv]) == 2
+    assert main([command, str(path), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_fitting_reduced_honours_the_degree_budget(golden_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYMCANON_CONFIG", str(tmp_path / "absent.json"))
+    monkeypatch.setenv("SYMCANON_DEGREE_BUDGET", "1")
+    assert main(["fitting", golden_file, "--reduced", "-o", str(tmp_path / "i.json")]) == 3
+    assert "degree budget 1" in capsys.readouterr().err
 
 
 def test_large_primes_refused(golden_file, capsys):
@@ -286,6 +302,9 @@ def test_cli_check_generic(capsys):
     # the check runs over a prime field only; Q is refused, not replaced
     assert main(["check-generic", "--degree", "2", "--field", "q"]) == 2
     assert "prime field" in capsys.readouterr().err
+    # no degree to check is no pass
+    assert main(["check-generic", "--degree", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_config_precedence(tmp_path, monkeypatch, capsys):

@@ -19,12 +19,11 @@ from symcanon.ideals import (
     ideal_equal,
     ideal_intersection,
     ideal_quotient,
-    ideal_quotient_by_ideal,
-    irrelevant_ideal,
     is_radical_zerodim,
     multiplicity,
     normal_form_poly,
     point_count,
+    same_hilbert_polynomial,
     saturate,
     zero_dim_analysis,
     _multiplication_operator,
@@ -38,6 +37,8 @@ from symcanon.tableau import Minors, erase_first_row, fitting_ideal
 from conftest import (
     groebner_multiplication_operator,
     groebner_standard_monomials,
+    irrelevant_ideal,
+    iterated_saturation,
     k2_10_fixture,
     random_homogeneous,
     random_linear,
@@ -140,7 +141,7 @@ def test_saturation_examples(R):
     principal = I(R, "x0")
     assert ideal_equal(saturate(principal), principal)
     R2 = PolyRing(("x", "y"), QQ)
-    s = saturate(I(R2, "x^2*y", "x^3"), Ideal(R2, R2.gens()))
+    s = saturate(I(R2, "x^2*y", "x^3"))
     assert ideal_equal(s, I(R2, "x^2"))
 
 
@@ -154,22 +155,62 @@ def test_saturation_idempotent_monotone(R):
 def test_saturation_routes_agree(R):
     # irrelevant-ideal fast path vs the stabilized iterated quotient
     ideal = I(R, "x0^2*x4", "x0*x1", "x3^2*x4^2")
-    fast = saturate(ideal)
-    m = irrelevant_ideal(R)
-    slow = ideal
-    while True:
-        nxt = ideal_quotient_by_ideal(slow, m)
-        if ideal_equal(nxt, slow):
-            break
-        slow = nxt
-    assert ideal_equal(fast, slow)
+    assert ideal_equal(saturate(ideal), iterated_saturation(ideal))
 
 
 def test_saturation_no_op_when_locus_missed(R):
     # associated primes of these monomial fixtures avoid V(J)
     ideal = I(R, "x0^2", "x1*x2")
     j = I(R, "x3", "x4")
-    assert ideal_equal(saturate(ideal, j), ideal)
+    assert ideal_equal(iterated_saturation(ideal, j), ideal)
+
+
+def _saturation_fallbacks(ring):
+    """Ideals whose x4-saturation is not yet sat(I), so saturate intersects
+    in further variables (1 to 4 intersections)."""
+    x = ring.gens()
+    m = list(x)
+    two = ring.one() + ring.one()
+    return {
+        # the point (0:0:0:1:0), on x4 = 0, with an embedded component
+        "point_on_x4": Ideal(ring, [g * v for g in (x[0], x[1], x[2], x[4]) for v in m]),
+        "x1..x4 times m": Ideal(ring, [g * v for g in x[1:] for v in m]),
+        "five_coordinate_points": Ideal(ring, [x[i] * x[j] for i in range(5) for j in range(i + 1, 5)]),
+        # (1:0:0:0:a) for a = 0, 1, 2: over GF(3) they meet every hyperplane
+        "three_points_on_a_line": Ideal(
+            ring, [x[1], x[2], x[3], x[4] * (x[4] - x[0]) * (x[4] - two * x[0])]
+        ),
+        "embedded_line": Ideal(ring, [x[3] ** 2, x[3] * x[4], x[0] * x[4] ** 2]),
+        "x4 times m": Ideal(ring, [x[4] * v for v in m]),
+    }
+
+
+@pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), GF(7), GF(3), QQ], ids=["gf32003", "gf7", "gf3", "q"])
+def test_saturation_fallbacks_match_iterated_quotient(field):
+    ring = PolyRing(field=field)
+    for name, ideal in _saturation_fallbacks(ring).items():
+        assert ideal_equal(saturate(ideal), iterated_saturation(ideal)), name
+
+
+def test_saturation_matches_iterated_quotient_on_fitting_ideals():
+    field = GF(DEFAULT_PRIME)
+    tableaux = [realize(sample(seed, field)) for seed in (0, 3)] + [k2_10_fixture(field)]
+    for T in tableaux:
+        for rows in (range(1, T.n + 1), None):
+            ideal = fitting_ideal(T.minors(), T.n, rows=rows)
+            assert ideal_equal(saturate(ideal), iterated_saturation(ideal))
+
+
+def test_same_hilbert_polynomial_cases(R):
+    for ideal in list(_saturation_fallbacks(R).values()) + [I(R, "x0^2*x4", "x1*x4^2", "x2^3")]:
+        assert same_hilbert_polynomial(ideal, iterated_saturation(ideal))
+    point = I(R, "x0", "x1", "x2", "x3")
+    assert not same_hilbert_polynomial(point, I(R, "x0", "x1", "x2"))
+    two_points = ideal_intersection(point, I(R, "x0 - x4", "x1", "x2", "x3"))
+    assert not same_hilbert_polynomial(two_points, point)
+    # a Hilbert polynomial is no ideal: two other points have the same one
+    other_two = ideal_intersection(I(R, "x0", "x1", "x2", "x4"), I(R, "x0", "x1", "x3", "x4"))
+    assert same_hilbert_polynomial(two_points, other_two)
 
 
 def test_dimension_examples(R):
