@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import linalg
-from .errors import ContractError
+from .errors import BudgetExceededError, ContractError
 from .fields import GF
 from .ideals import (
     DEFAULT_GB_CONFIG,
@@ -238,11 +238,12 @@ def ring_condition_check(
     n = T.n
     I_a = fitting_ideal(T.minors(), n)
     sat_aprime = scheme.ideal
+    unsat_eq = ideal_equal(I_a, fitting_ideal(T.minors(), n, rows=range(1, n + 1))) if n == 2 else None
     # I_n(A') is inside I_n(A): its minors, on rows 1..n, are among those on
     # all rows.  Two saturated ideals, one inside the other, are equal iff
-    # their Hilbert polynomials are, and I_n(A) has its saturation's.
-    sat_eq = same_hilbert_polynomial(I_a, sat_aprime, config=config)
-    unsat_eq = ideal_equal(I_a, fitting_ideal(T.minors(), n, rows=range(1, n + 1))) if n == 2 else None
+    # their Hilbert polynomials are, and I_n(A) has its saturation's.  Equal
+    # ideals have equal saturations, so a true unsaturated identity decides it.
+    sat_eq = unsat_eq or same_hilbert_polynomial(I_a, sat_aprime, config=config)
     ok = sat_eq and (unsat_eq is not False)
     return RingConditionReport("pass" if ok else "fail", None, sat_eq, unsat_eq, sat_aprime)
 
@@ -483,6 +484,12 @@ class ReflexivityReport:
         return self.composite_zero and self.kernel_dims == self.image_dims
 
 
+# Entries of the largest system graded_middle_exactness may build.  Degree 5
+# of the generic complex (8 variables) is bounded by 1.4e8 and runs in about
+# 2 GB; degree 6, bounded by 5.7e8, would need about 9 GB.
+_EXACTNESS_CELL_LIMIT = 2 * 10**8
+
+
 def graded_middle_exactness(
     phi: PolyMatrix,
     psi: PolyMatrix,
@@ -498,6 +505,16 @@ def graded_middle_exactness(
     if not field.characteristic:
         raise ContractError("graded exactness check runs over a prime field")
     pairs6 = len(psi)
+    # the kernel system of the top degree is the largest: 4 N(d) rows of psi
+    # and at most 6 N(d + e) rows of the ideal's pieces, over 6 N(d + e)
+    # columns, with N(k) monomials of degree k
+    n_d, n_de = (comb(k + ring.nvars - 1, k) for k in (degree_bound, degree_bound + entry_degree))
+    rows, cols = len(psi[0]) * n_d + pairs6 * n_de, pairs6 * n_de
+    if rows * cols > _EXACTNESS_CELL_LIMIT:
+        raise BudgetExceededError(
+            f"degree-{degree_bound} exactness system of up to {rows} x {cols} entries "
+            f"exceeds the limit of {_EXACTNESS_CELL_LIMIT} entries"
+        )
     ideal = Ideal(ring, relations)
     # composite must vanish modulo the relations
     composite_zero = True

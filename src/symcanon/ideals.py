@@ -5,9 +5,10 @@ Everything public here assumes homogeneous input; this matches the graded
 setting of the geometry.  A question about one degree d (membership, normal
 form, Hilbert function, standard monomials) is answered by the reduced
 echelon of the ideal's degree-d piece, ``Ideal.piece(d)``; Groebner bases
-answer the questions with no degree bound.  Auxiliary elimination variables
-carry weight 0, so the internal elimination runs remain homogeneous for the
-original grading.
+answer the questions with no degree bound.  The intersection eliminates an
+auxiliary variable t; its input is homogeneous in the kept variables only,
+and the Buchberger run counts the degree of a pair in those, the variables
+that its order does not eliminate.
 
 The saturation reads (I : x_v^infty) off a grevlex basis with x_v last
 (Bayer-Stillman), starting at x4, whose basis is the plain grevlex one, and
@@ -96,8 +97,9 @@ class Ideal:
         return self._pieces[d]
 
     def contains_one(self) -> bool:
-        gb = groebner_basis(self, GREVLEX)
-        return any(g.degree() == 0 for g in gb)
+        """A homogeneous ideal is the unit ideal iff one of its generators is
+        a nonzero constant: 1 lies in its degree-0 piece."""
+        return any(g.degree() == 0 for g in self.generators)
 
 
 # -- Buchberger on packed monomials ---------------------------------------------
@@ -110,11 +112,11 @@ class Ideal:
 # that holds while exponents stay below 2^15, and the subtraction never
 # borrows out of the exponent fields.  Packing refuses monomials of degree
 # 2^15 or more; every term met later has at most the degree of an input or
-# an S-pair lcm, because the input is homogeneous and its weight-0 variables
-# are compared first.  A term is (X, c).  A reducer is a monic polynomial
-# (X_lm, shifts, coeffs): its tail monomials relative to the leading one,
-# dX = X - X_lm, and their negated coefficients d, so reducing c * x^m by it
-# adds the terms (X_m + dX, c * d).
+# an S-pair lcm, because the input is homogeneous in the kept variables and
+# the eliminated variables are compared first.  A term is (X, c).  A reducer
+# is a monic polynomial (X_lm, shifts, coeffs): its tail monomials relative
+# to the leading one, dX = X - X_lm, and their negated coefficients d, so
+# reducing c * x^m by it adds the terms (X_m + dX, c * d).
 
 
 class _Packing:
@@ -262,10 +264,14 @@ def _buchberger(
     cap: Optional[int],
     config: GBConfig,
 ) -> List[Polynomial]:
+    """Reduced Groebner basis of gens under order.  Pairs are sorted, and
+    ``cap`` and the degree budget read, by degree in the variables the order
+    keeps (all of them but an elimination block).  The gens are homogeneous,
+    or, in the intersection's run, homogeneous in the kept variables."""
     field = ring.field
     pk = _Packing(ring, order)
     p, guard = pk.p, pk.guard
-    wd = ring.weighted_degree
+    kept = order.block
 
     basis: list = []  # reducers, in order of creation
     lms: List[Monomial] = []
@@ -279,7 +285,7 @@ def _buchberger(
         j = len(basis)
         for i, lm_i in enumerate(lms):
             lcm = tuple(map(max, lm_i, lm))
-            heappush(queue, (wd(lcm), pk.monomial(lcm), i, j))
+            heappush(queue, (sum(lcm[kept:]), pk.monomial(lcm), i, j))
             pending.add((i, j))
         basis.append(r)
         lms.append(lm)
@@ -288,7 +294,7 @@ def _buchberger(
     # generators by degree, then leading monomial; each is packed on its turn
     inputs = []
     for g in gens:
-        d = wd(next(iter(g.terms)))  # generators are homogeneous and nonzero
+        d = sum(next(iter(g.terms))[kept:])  # generators are homogeneous and nonzero
         if cap is None or d <= cap:
             inputs.append((d, pk.leading(g), g))
     inputs.sort(key=itemgetter(0, 1))
@@ -376,7 +382,7 @@ def groebner_basis(
 ) -> List[Polynomial]:
     """Reduced Groebner basis of I for the order, unique and cached.
 
-    ``cap`` truncates the computation at a weighted degree: the result is
+    ``cap`` truncates the computation at a degree: the result is
     the part of the full reduced basis in degrees <= cap, which is all that
     membership tests below need.
     """
@@ -434,34 +440,28 @@ def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = GREVLEX) -> bool:
 # -- elimination constructions -------------------------------------------------
 
 
-def _to_aux(f: Polynomial, aux: PolyRing) -> Polynomial:
-    return f.map_ring(aux, list(range(1, aux.nvars)))
-
-
-def _from_aux(f: Polynomial, ring: PolyRing) -> Polynomial:
-    terms = {}
-    for m, c in f.terms.items():
-        assert m[0] == 0
-        terms[m[1:]] = c
-    return Polynomial(ring, terms)
-
-
 def ideal_intersection(I: Ideal, J: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> Ideal:
-    """I cap J via the auxiliary-variable elimination trick."""
+    """I cap J = (t I + (1 - t) J) cap k[x], t a new first variable
+    eliminated by a Buchberger run under elimination(1)."""
     ring = I.ring
     if J.ring != ring:
         raise RingMismatchError("intersection across rings")
     if I.is_zero() or J.is_zero():
         return Ideal(ring, [])
-    aux = ring.with_aux_variable()
+    t_name = "t_"
+    while t_name in ring.variables:
+        t_name += "_"
+    aux = PolyRing((t_name,) + ring.variables, ring.field)
     t = aux.variable(0)
     one = aux.one()
-    gens = [t * _to_aux(g, aux) for g in I.generators]
-    gens += [(one - t) * _to_aux(g, aux) for g in J.generators]
-    K = Ideal(aux, gens)
-    gb = groebner_basis(K, elimination(1), config=config)
+
+    def lift(g):
+        return Polynomial(aux, {(0,) + m: c for m, c in g.terms.items()})
+
+    gens = [t * lift(g) for g in I.generators] + [(one - t) * lift(g) for g in J.generators]
+    gb = _buchberger(gens, elimination(1), aux, None, config)
     eliminated = [g for g in gb if all(m[0] == 0 for m in g.terms)]
-    return Ideal(ring, [_from_aux(g, ring) for g in eliminated])
+    return Ideal(ring, [Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}) for g in eliminated])
 
 
 def ideal_quotient(I: Ideal, f: Polynomial, config: GBConfig = DEFAULT_GB_CONFIG) -> Ideal:

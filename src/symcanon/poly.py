@@ -19,23 +19,16 @@ from .fields import FieldSpec, Scalar
 from .orders import GREVLEX, KEY_DEGREE_BOUND, Monomial, MonomialOrder
 
 EXPONENT_BOUND = 1 << 15
+# products of larger total degree raise DegreeOverflowError; a product of
+# degree at most this bound has every exponent below EXPONENT_BOUND
+DEGREE_BOUND = 64
 
 
 class PolyRing:
-    """A polynomial ring over an exact field.
+    """A standard-graded polynomial ring over an exact field: every variable
+    has degree 1."""
 
-    ``weights`` grades the variables; public rings are standard-graded
-    (all weights 1).  Auxiliary elimination variables carry weight 0 so
-    that internal Groebner runs stay homogeneous in the original variables.
-    """
-
-    def __init__(
-        self,
-        variables: Sequence[str] = ("x0", "x1", "x2", "x3", "x4"),
-        field: FieldSpec = None,
-        weights: Optional[Sequence[int]] = None,
-        degree_bound: int = 64,
-    ):
+    def __init__(self, variables: Sequence[str] = ("x0", "x1", "x2", "x3", "x4"), field: FieldSpec = None):
         if field is None:
             raise ContractError("PolyRing requires a field")
         variables = tuple(variables)
@@ -43,10 +36,6 @@ class PolyRing:
             raise ContractError("variable names must be distinct")
         self.variables = variables
         self.field = field
-        self.weights = tuple(weights) if weights is not None else (1,) * len(variables)
-        if len(self.weights) != len(variables):
-            raise ContractError("one weight per variable")
-        self.degree_bound = degree_bound
         self._index = {name: i for i, name in enumerate(variables)}
 
     @property
@@ -58,11 +47,10 @@ class PolyRing:
             isinstance(other, PolyRing)
             and self.variables == other.variables
             and self.field == other.field
-            and self.weights == other.weights
         )
 
     def __hash__(self):
-        return hash((self.variables, self.field, self.weights))
+        return hash((self.variables, self.field))
 
     def __repr__(self):
         return f"PolyRing({','.join(self.variables)}; {self.field.kind}({self.field.characteristic}))"
@@ -71,9 +59,6 @@ class PolyRing:
         if name not in self._index:
             raise ContractError(f"unknown variable {name!r}")
         return self._index[name]
-
-    def weighted_degree(self, exp: Monomial) -> int:
-        return sum(w * e for w, e in zip(self.weights, exp))
 
     # -- constructors -------------------------------------------------------
 
@@ -117,17 +102,6 @@ class PolyRing:
                 terms[tuple(exp)] = c
         return Polynomial(self, terms)
 
-    def with_aux_variable(self, name: str = "t_") -> "PolyRing":
-        """Ring with one extra weight-0 variable in front (elimination aux)."""
-        if name in self.variables:
-            raise ContractError(f"aux name {name!r} already in use")
-        return PolyRing(
-            (name,) + self.variables,
-            self.field,
-            weights=(0,) + self.weights,
-            degree_bound=self.degree_bound,
-        )
-
 
 class Polynomial:
     """Immutable sparse polynomial; ``terms`` maps exponents to scalars."""
@@ -145,18 +119,13 @@ class Polynomial:
         return not self.terms
 
     def degree(self) -> int:
-        """Weighted total degree; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        wd = self.ring.weighted_degree
-        return max(wd(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        wd = self.ring.weighted_degree
-        degs = {wd(m) for m in self.terms}
-        return len(degs) == 1
+        return len(set(map(sum, self.terms))) <= 1
 
     def homogeneous_degree(self) -> Optional[int]:
         """The common degree if homogeneous and nonzero, else None."""
@@ -195,11 +164,9 @@ class Polynomial:
         field = ring.field
         if not self.terms or not other.terms:
             return ring.zero()
-        bound_check = self.degree() + other.degree() > ring.degree_bound
-        if bound_check:
-            raise DegreeOverflowError(
-                f"product degree {self.degree() + other.degree()} exceeds bound {ring.degree_bound}"
-            )
+        degree = self.degree() + other.degree()
+        if degree > DEGREE_BOUND:
+            raise DegreeOverflowError(f"product degree {degree} exceeds bound {DEGREE_BOUND}")
         out: Dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -209,9 +176,6 @@ class Polynomial:
                     out.pop(m, None)
                 else:
                     out[m] = s
-        for m in out:
-            if any(e >= EXPONENT_BOUND for e in m):
-                raise DegreeOverflowError("exponent exceeds 2^15")
         return Polynomial(ring, out)
 
     def scale(self, c: Scalar) -> "Polynomial":
@@ -323,17 +287,6 @@ class Polynomial:
                     monos[t] = tuple(map(add, q_m, dm))
                     heappush(heap, -t)
         return Polynomial(ring, quo)
-
-    def map_ring(self, target: PolyRing, var_map: Sequence[int]) -> "Polynomial":
-        """Reinterpret in ``target``; variable i goes to target variable var_map[i]."""
-        out: Dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            exp = [0] * target.nvars
-            for i, e in enumerate(m):
-                if e:
-                    exp[var_map[i]] = e
-            out[tuple(exp)] = c
-        return Polynomial(target, out)
 
     # -- printing ---------------------------------------------------------------
 
@@ -496,13 +449,10 @@ def parse_poly(text: str, ring: PolyRing) -> Polynomial:
 def graded_basis(ring: PolyRing, d: int) -> List[Monomial]:
     """All monomials of total degree d, grevlex-descending.
 
-    Count is C(d + v - 1, v - 1) for v variables.  Requires a
-    standard-graded ring.
+    Count is C(d + v - 1, v - 1) for v variables.
     """
     if d < 0:
         raise ContractError("degree must be non-negative")
-    if any(w != 1 for w in ring.weights):
-        raise ContractError("graded_basis requires a standard-graded ring")
     v = ring.nvars
     out: List[Monomial] = []
 

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from symcanon import canonical
 from symcanon.cli import main
 from symcanon.errors import ContractError
 from symcanon.fields import DEFAULT_PRIME, GF
@@ -257,6 +258,22 @@ def test_fitting_reduced_honours_the_degree_budget(golden_file, tmp_path, monkey
     monkeypatch.setenv("SYMCANON_DEGREE_BUDGET", "1")
     assert main(["fitting", golden_file, "--reduced", "-o", str(tmp_path / "i.json")]) == 3
     assert "degree budget 1" in capsys.readouterr().err
+
+
+def test_check_generic_refuses_a_system_past_the_size_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SYMCANON_CONFIG", str(tmp_path / "absent.json"))
+    assert main(["check-generic", "--degree", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exactness systems were built")
+
+    # degree 6 would need about 9 GB; the size is read off binomials first
+    monkeypatch.setattr(canonical, "Ideal", refuse)
+    monkeypatch.setattr(canonical, "graded_map", refuse)
+    assert main(["check-generic", "--degree", "6"]) == 3
+    err = capsys.readouterr().err
+    assert "degree-6 exactness system of up to 27456 x 20592 entries" in err
 
 
 def test_large_primes_refused(golden_file, capsys):
