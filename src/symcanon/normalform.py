@@ -7,38 +7,41 @@ the reduction emits self-certifying left/right witnesses.
 
 For a K2 = 11 tableau with three reduced degeneracy points, the three
 special generalized rows of A' are found as the roots of a binary form (the
-gcd of the 5x5 minors of the row pencil); after the row change, the kernels
-of the three rows' entry maps form a J-orthogonal splitting of k^6 into
+gcd of the 5x5 minors of the row pencil).  The row change makes rows 1, 2
+and their sum those three rows, up to scalars; the kernels of their entry
+maps, read off the pencil, form a J-orthogonal splitting of k^6 into
 hyperbolic planes, and an adapted symplectic basis lands the tableau exactly
 on the zero pattern
 
     [0 a2 a3 | 0 b2 b3]
     [a4 -a2 0 | b4 -b2 0].
 
-The column change is factored into (Op) moves, so the witness is a replayable
-move word.
+The column change is factored into (Op) moves, and the output is built once,
+as the replay of the witness word (the row change, then those moves); so the
+witness reproduces the output by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, List, Optional, Tuple
 
 from . import linalg, univariate
 from .errors import ContractError
 from .fields import FieldSpec, Scalar
 from .ideals import GBConfig, DEFAULT_GB_CONFIG
-from .poly import Polynomial, PolyRing, graded_piece
+from .poly import PolyRing, graded_piece
 from .tableau import (
     OpMove,
     ScalarTableau,
     SymmetricTableau,
-    apply_op,
+    act_on_columns,
     apply_op_word,
-    apply_symplectic,
     degeneracy_scheme,
     erase_first_row,
+    j_pairing,
     mirror_pair_word,
     move_word_matrix,
     rows_move,
@@ -80,7 +83,6 @@ def _rref_with_transform(rows: List[List[Scalar]], field: FieldSpec):
 
 def _column_normalizer(rows: List[List[Scalar]], field: FieldSpec):
     """(L, E, r): L*rows*E = (Id_r | 0) block form, E invertible."""
-    m = len(rows)
     n = len(rows[0])
     L, R, pivots = _rref_with_transform(rows, field)
     r = len(pivots)
@@ -105,7 +107,6 @@ def scalar_orbit_reduce(M: ScalarTableau) -> OrbitReduction:
     n, width = M.n, M.n + 1
 
     def blockdiag(P, Q):
-        size = len(P)
         out = [[field.zero()] * (2 * width) for _ in range(2 * width)]
         for i in range(width):
             for j in range(width):
@@ -246,8 +247,6 @@ def factor_symplectic(S: List[List[Scalar]], ring: PolyRing) -> List[OpMove]:
     if any(not field.is_zero(c) for row in symplectic_defect(S, ring) for c in row):
         raise ContractError("factor_symplectic requires a symplectic matrix")
 
-    from itertools import combinations
-
     rotation_set: Optional[Tuple[int, ...]] = None
     Sp = None
     for sz in range(width + 1):
@@ -299,26 +298,17 @@ def factor_symplectic(S: List[List[Scalar]], ring: PolyRing) -> List[OpMove]:
 
 def _factor_block_diag(P: List[List[Scalar]], ring: PolyRing) -> List[OpMove]:
     """Word with matrix diag-block(P, P^{-t}) out of transfers, swaps and
-    pair scalings; obtained by column-reducing P to the identity."""
+    pair scalings: (P | 0) is column-reduced to (I | 0) by such moves, and
+    the word is their inverses in reverse order."""
     field = ring.field
     width = len(P)
-    work = [list(r) for r in P]
-    applied: List[tuple] = []  # ops used to reduce work to the identity
+    work = [list(r) + [field.zero()] * width for r in P]
+    undo: List[List[OpMove]] = []  # inverse word of each reduction step
 
-    def apply_transfer(lam, mu, nu):
-        for i in range(width):
-            work[i][mu] = field.add(work[i][mu], field.mul(lam, work[i][nu]))
-        applied.append(("transfer", lam, mu, nu))
-
-    def apply_swap(mu, nu):
-        for i in range(width):
-            work[i][mu], work[i][nu] = work[i][nu], work[i][mu]
-        applied.append(("swap", None, mu, nu))
-
-    def apply_scale(t, mu):
-        for i in range(width):
-            work[i][mu] = field.mul(work[i][mu], t)
-        applied.append(("scale", t, mu, None))
+    def step(word: List[OpMove], inverse: List[OpMove]) -> None:
+        for mv in word:
+            act_on_columns(work, mv, width, ring)
+        undo.append(inverse)
 
     for c in range(width):
         pivot = next((j for j in range(c, width) if not field.is_zero(work[c][j])), None)
@@ -326,23 +316,17 @@ def _factor_block_diag(P: List[List[Scalar]], ring: PolyRing) -> List[OpMove]:
             # invertibility guarantees a pivot after clearing earlier columns
             raise ContractError("block factorization hit a singular pivot")
         if pivot != c:
-            apply_swap(c, pivot)
+            swap = OpMove("swap", None, c, pivot)
+            step([swap], [swap])
         if work[c][c] != field.one():
-            apply_scale(field.inv(work[c][c]), c)
+            t = work[c][c]
+            step(_scale_pair_word(field.inv(t), c, ring), _scale_pair_word(t, c, ring))
         for j in range(width):
             if j != c and not field.is_zero(work[c][j]):
-                apply_transfer(field.neg(work[c][j]), j, c)
-    assert work == linalg.identity(width, field)
-
-    word: List[OpMove] = []
-    for kind, lam, mu, nu in reversed(applied):
-        if kind == "transfer":
-            word.append(OpMove("transfer", field.neg(lam), mu, nu))
-        elif kind == "swap":
-            word.append(OpMove("swap", None, mu, nu))
-        else:
-            word.extend(_scale_pair_word(field.inv(lam), mu, ring))
-    return word
+                lam = work[c][j]
+                step([OpMove("transfer", field.neg(lam), j, c)], [OpMove("transfer", lam, j, c)])
+    assert work == [row + [field.zero()] * width for row in linalg.identity(width, field)]
+    return [mv for inverse in reversed(undo) for mv in inverse]
 
 
 # -- the K2 = 11 reduction ------------------------------------------------------------
@@ -354,28 +338,33 @@ class NormalFormK11:
     witness_moves: List[OpMove]
 
 
-def _special_directions(T: SymmetricTableau) -> List[Tuple[Scalar, Scalar]]:
+Pencil = Callable[[Scalar, Scalar], List[List[Scalar]]]
+
+
+def _row_pencil(T: SymmetricTableau) -> Pencil:
+    """[u1:u2] -> the 6 x 5 coefficient matrix u1*C1 + u2*C2 of the
+    generalized row u1*row1 + u2*row2 of A' (rows the six entries, columns
+    the variables)."""
+    ring = T.ring
+    field = ring.field
+    aprime = erase_first_row(T)
+    C1 = graded_piece(aprime[0], 1, ring, 0).tolist()
+    C2 = graded_piece(aprime[1], 1, ring, 0).tolist()
+    return lambda u1, u2: [
+        [field.add(field.mul(u1, c1), field.mul(u2, c2)) for c1, c2 in zip(r1, r2)]
+        for r1, r2 in zip(C1, C2)
+    ]
+
+
+def _special_directions(pencil_matrix: Pencil, field: FieldSpec) -> List[Tuple[Scalar, Scalar]]:
     """The directions [u1:u2] whose generalized row of A' has rank <= 4,
     i.e. cuts one of the degeneracy points: common roots of the six 5x5
     minors of the coefficient pencil u1*C1 + u2*C2."""
-    ring = T.ring
-    field = ring.field
     if field.characteristic and field.characteristic < 7:
         raise ContractError("direction search interpolates a binary quintic; needs char 0 or >= 7")
-    aprime = erase_first_row(T)
-    C1 = graded_piece(aprime[0], 1, ring, 0).tolist()  # 6 x 5
-    C2 = graded_piece(aprime[1], 1, ring, 0).tolist()
     # each 5-row subset of the 6x5 pencil C1 + t C2 has a determinant of
     # degree <= 5 in t, recovered exactly from 6 evaluation points; the
     # direction at infinity [0:1] is checked by a direct rank computation
-    from itertools import combinations
-
-    def pencil_matrix(u1: Scalar, u2: Scalar) -> List[List[Scalar]]:
-        return [
-            [field.add(field.mul(u1, C1[r][c]), field.mul(u2, C2[r][c])) for c in range(5)]
-            for r in range(6)
-        ]
-
     # coefficients of det(rows subset) as a univariate polynomial in t for
     # the pencil C1 + t C2, recovered from 6 evaluation points
     sample_points = _interpolation_points(field, 6)
@@ -397,8 +386,7 @@ def _special_directions(T: SymmetricTableau) -> List[Tuple[Scalar, Scalar]]:
     elif not g:
         raise ContractError("row pencil degenerates identically; not a valid instance")
     # direction at infinity [0 : 1] (pure second row)
-    m_inf = [[C2[r][c] for c in range(5)] for r in range(6)]
-    if linalg.rank(m_inf, field) <= 4:
+    if linalg.rank(pencil_matrix(field.zero(), field.one()), field) <= 4:
         roots.append((field.zero(), field.one()))
     return sorted(roots, key=_direction_sort_key)
 
@@ -433,23 +421,9 @@ def _interpolate(xs: List[Scalar], ys: List[Scalar], field: FieldSpec) -> List[S
     return result
 
 
-def _kernel_of_row(row: Sequence[Polynomial], ring: PolyRing) -> List[List[Scalar]]:
-    coeffs = graded_piece(row, 1, ring, 0)  # 6 x 5; kernel wants c with sum c_j row_j = 0
-    return linalg.nullspace(coeffs.T.tolist(), ring.field, ncols=6)
-
-
-def _j_pairing(u: Sequence[Scalar], v: Sequence[Scalar], field: FieldSpec) -> Scalar:
-    half = len(u) // 2
-    total = field.zero()
-    for i in range(half):
-        total = field.add(total, field.mul(u[i], v[half + i]))
-        total = field.sub(total, field.mul(u[half + i], v[i]))
-    return total
-
-
 def reduce_k11(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> NormalFormK11:
     """Reduce a valid K2 = 11 tableau to the normal form, emitting a move
-    word whose replay reproduces the output exactly.
+    word; the output is that word's replay on T, built once.
 
     The three degeneracy points must be cut out by generalized rows of A'
     over the ground field; the assignment of points to the two rows and
@@ -467,7 +441,8 @@ def reduce_k11(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> Nor
         )
     ring = T.ring
     field = ring.field
-    directions = _special_directions(T)
+    pencil = _row_pencil(T)
+    directions = _special_directions(pencil, field)
     if len(directions) != 3:
         raise ContractError(
             f"case exhausted: expected 3 special row directions, found {len(directions)}; "
@@ -481,24 +456,15 @@ def reduce_k11(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> Nor
     )
     assert sol is not None and not field.is_zero(sol[0]) and not field.is_zero(sol[1])
     a, b = sol
-    phi = [
-        [field.mul(a, d1[0]), field.mul(a, d1[1])],
-        [field.mul(b, d2[0]), field.mul(b, d2[1])],
-    ]
     g = [
         [field.one(), field.zero(), field.zero()],
-        [field.zero(), phi[0][0], phi[0][1]],
-        [field.zero(), phi[1][0], phi[1][1]],
+        [field.zero(), field.mul(a, d1[0]), field.mul(a, d1[1])],
+        [field.zero(), field.mul(b, d2[0]), field.mul(b, d2[1])],
     ]
-    row_change = rows_move(g)
-    T1 = apply_op(T, row_change)
-
-    aprime = erase_first_row(T1)
-    row1, row2 = aprime[0], aprime[1]
-    row_sum = [x + y for x, y in zip(row1, row2)]
-    K1 = _kernel_of_row(row1, ring)
-    K3 = _kernel_of_row(row_sum, ring)
-    K2 = _kernel_of_row(row2, ring)
+    # after the row change, rows 1, 2 and their sum of A' are the generalized
+    # rows of d1, d2 and d3 up to nonzero scalars, which leave the reduced
+    # echelon form, and so each kernel basis, unchanged
+    K1, K3, K2 = (linalg.nullspace(linalg.transpose(pencil(*d)), field, ncols=6) for d in (d1, d3, d2))
     for name, K in (("row 1", K1), ("row 1 + row 2", K3), ("row 2", K2)):
         if len(K) != 2:
             raise ContractError(
@@ -509,7 +475,7 @@ def reduce_k11(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> Nor
     for KA, KB in ((K1, K2), (K1, K3), (K2, K3)):
         for u in KA:
             for v in KB:
-                if not field.is_zero(_j_pairing(u, v, field)):
+                if not field.is_zero(j_pairing(u, v, field)):
                     raise ContractError(
                         "case exhausted: row kernels are not J-orthogonal; diagnostic dump: "
                         f"pairing({u},{v}) != 0"
@@ -517,20 +483,16 @@ def reduce_k11(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> Nor
     basis_cols: List[List[Scalar]] = [[], [], [], [], [], []]
     for slot, K in ((0, K1), (1, K3), (2, K2)):
         f_a, f_b = K
-        pairing = _j_pairing(f_a, f_b, field)
+        pairing = j_pairing(f_a, f_b, field)
         if field.is_zero(pairing):
             raise ContractError(
                 "case exhausted: degenerate symplectic restriction on a row kernel"
             )
-        f_b = [field.div(c, pairing) for c in f_b]
         basis_cols[slot] = list(f_a)
-        basis_cols[slot + 3] = f_b
+        basis_cols[slot + 3] = [field.div(c, pairing) for c in f_b]
     S = linalg.transpose(basis_cols)
-    T2 = apply_symplectic(T1, S)
-    shape = verify_normal_shape(T2)
+    moves = [rows_move(g)] + factor_symplectic(S, ring)
+    out = apply_op_word(T, moves)
+    shape = verify_normal_shape(out)
     assert shape.ok, f"reduction postcondition failed: {shape.violations}"
-
-    moves = [row_change] + factor_symplectic(S, ring)
-    replay = apply_op_word(T, moves)
-    assert replay == T2, "witness replay does not reproduce the output"
-    return NormalFormK11(T2, moves)
+    return NormalFormK11(out, moves)

@@ -8,7 +8,8 @@ and pair rotations) act on it; together they realize the PGl x PSp action.
 Each tableau holds one lazily filled table of the minors of A (``Minors``):
 every Fitting ideal, Cramer numerator and block determinant is a read of it.
 Scalar tableaux (the n x (2n+2) degree-0 analogue) share the same move
-engine: every column move is its symplectic scalar matrix.
+engine.  A column move becomes an action in one place, ``act_on_columns``;
+its symplectic scalar matrix is that action on the identity.
 """
 
 from __future__ import annotations
@@ -191,8 +192,10 @@ def _check_index(mu, width: int):
         raise ContractError(f"column index {mu} out of range 0..{width - 1}")
 
 
-def column_move_matrix(move: OpMove, width: int, ring: PolyRing) -> List[List[Scalar]]:
-    """The symplectic 2*width x 2*width matrix M of a column move (A -> A*M).
+def act_on_columns(m: List[List[Scalar]], move: OpMove, width: int, ring: PolyRing) -> None:
+    """Right-multiply m in place by the symplectic 2*width x 2*width matrix
+    of a column move (A -> A*M), as column operations on one or two column
+    pairs; m has 2*width columns, alpha's then beta's.
 
     This is the only place that turns a column move kind into an action;
     the indices and the scalar are validated here.
@@ -208,35 +211,41 @@ def column_move_matrix(move: OpMove, width: int, ring: PolyRing) -> List[List[Sc
         raise ContractError("transfer needs distinct column indices")
     if k in ("add_col_same", "add_col_pair", "transfer") and lam is None:
         raise ContractError(f"{k} needs a scalar lam")
-    m = linalg.identity(2 * width, field)
+
+    def add(dst: int, c: Scalar, src: int) -> None:
+        for r in m:
+            if not field.is_zero(r[src]):
+                r[dst] = field.add(r[dst], field.mul(c, r[src]))
+
     if k == "swap":
-        for base in (0, width):
-            m[base + mu][base + mu] = field.zero()
-            m[base + nu][base + nu] = field.zero()
-            m[base + mu][base + nu] = field.one()
-            m[base + nu][base + mu] = field.one()
+        for r in m:
+            r[mu], r[nu] = r[nu], r[mu]
+            r[width + mu], r[width + nu] = r[width + nu], r[width + mu]
     elif k == "rotate":
-        m[mu][mu] = field.zero()
-        m[width + mu][width + mu] = field.zero()
-        m[width + mu][mu] = field.one()
-        m[mu][width + mu] = field.neg(field.one())
+        for r in m:
+            r[mu], r[width + mu] = r[width + mu], field.neg(r[mu])
     elif k == "add_col_same":
-        m[width + mu][mu] = lam
+        add(mu, lam, width + mu)
     elif k == "add_col_pair":
-        m[width + nu][mu] = field.add(m[width + nu][mu], lam)
-        m[width + mu][nu] = field.add(m[width + mu][nu], lam)
+        add(mu, lam, width + nu)
+        add(nu, lam, width + mu)
     else:  # transfer
-        m[nu][mu] = lam
-        m[width + mu][width + nu] = field.neg(lam)
-    return m
+        add(mu, lam, nu)
+        add(width + nu, field.neg(lam), width + mu)
+
+
+def column_move_matrix(move: OpMove, width: int, ring: PolyRing) -> List[List[Scalar]]:
+    """The symplectic 2*width x 2*width matrix M of a column move (A -> A*M):
+    its action on the identity."""
+    return move_word_matrix([move], width, ring)
 
 
 def move_word_matrix(moves: Sequence[OpMove], width: int, ring: PolyRing) -> List[List[Scalar]]:
-    """Product of the column-move matrices of a word, in application order."""
-    field = ring.field
-    total = linalg.identity(2 * width, field)
+    """Product of the column-move matrices of a word, in application order:
+    the word's action on the identity."""
+    total = linalg.identity(2 * width, ring.field)
     for mv in moves:
-        total = linalg.matmul(total, column_move_matrix(mv, width, ring), field)
+        act_on_columns(total, mv, width, ring)
     return total
 
 
@@ -256,8 +265,19 @@ def mirror_pair_word(lam: Scalar, mu: int, nu: int, ring: PolyRing) -> List[OpMo
     ]
 
 
+def j_pairing(u: Sequence[Scalar], v: Sequence[Scalar], field) -> Scalar:
+    """<u, v>_J = u J v^t for the standard form J = ((0, I), (-I, 0))."""
+    half = len(u) // 2
+    total = field.zero()
+    for i in range(half):
+        total = field.add(total, field.mul(u[i], v[half + i]))
+        total = field.sub(total, field.mul(u[half + i], v[i]))
+    return total
+
+
 def symplectic_defect(S: List[List[Scalar]], ring: PolyRing) -> List[List[Scalar]]:
-    """S J S^t - J for the standard form J = ((0, I), (-I, 0))."""
+    """S J S^t - J for the standard form J; entry (i, j) of S J S^t is
+    <S_i, S_j>_J."""
     field = ring.field
     size = len(S)
     half = size // 2
@@ -265,10 +285,8 @@ def symplectic_defect(S: List[List[Scalar]], ring: PolyRing) -> List[List[Scalar
     for i in range(half):
         J[i][half + i] = field.one()
         J[half + i][i] = field.neg(field.one())
-    SJ = linalg.matmul(S, J, field)
-    SJSt = linalg.matmul(SJ, linalg.transpose(S), field)
     return [
-        [field.sub(SJSt[i][j], J[i][j]) for j in range(size)] for i in range(size)
+        [field.sub(j_pairing(S[i], S[j], field), J[i][j]) for j in range(size)] for i in range(size)
     ]
 
 

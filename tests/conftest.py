@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from symcanon import linalg
 from symcanon.errors import ContractError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
@@ -73,6 +74,41 @@ def random_move(rng, width, field):
 
 def random_move_word(rng, length, width, field):
     return [random_move(rng, width, field) for _ in range(length)]
+
+
+def column_move_oracle(move, width, field):
+    """The matrix M of a column move (A -> A*M), entry by entry as ``OpMove``
+    defines it; the earlier body of ``tableau.column_move_matrix``."""
+    k, mu, nu, lam = move.kind, move.mu, move.nu, move.lam
+    m = linalg.identity(2 * width, field)
+    if k == "swap":
+        for base in (0, width):
+            m[base + mu][base + mu] = field.zero()
+            m[base + nu][base + nu] = field.zero()
+            m[base + mu][base + nu] = field.one()
+            m[base + nu][base + mu] = field.one()
+    elif k == "rotate":
+        m[mu][mu] = field.zero()
+        m[width + mu][width + mu] = field.zero()
+        m[width + mu][mu] = field.one()
+        m[mu][width + mu] = field.neg(field.one())
+    elif k == "add_col_same":
+        m[width + mu][mu] = lam
+    elif k == "add_col_pair":
+        m[width + nu][mu] = field.add(m[width + nu][mu], lam)
+        m[width + mu][nu] = field.add(m[width + mu][nu], lam)
+    else:  # transfer
+        m[nu][mu] = lam
+        m[width + mu][width + nu] = field.neg(lam)
+    return m
+
+
+def oracle_word_matrix(moves, width, field):
+    """Product of the oracle matrices of a word, in application order."""
+    total = linalg.identity(2 * width, field)
+    for mv in moves:
+        total = linalg.matmul(total, column_move_oracle(mv, width, field), field)
+    return total
 
 
 def k2_10_fixture(field, seed=4):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from itertools import product
 
 import pytest
@@ -23,12 +24,11 @@ from symcanon.tableau import (
     ScalarTableau,
     SymmetricTableau,
     apply_op_word,
-    column_move_matrix,
     degeneracy_scheme,
-    symplectic_defect,
 )
+from symcanon.serialize import dumps, moves_to_json, tableau_to_json
 
-from conftest import random_move_word
+from conftest import oracle_word_matrix, random_move_word
 
 
 # -- scalar orbits ---------------------------------------------------------------
@@ -111,28 +111,18 @@ def test_factor_symplectic_random_products(seed):
     field = GF(DEFAULT_PRIME)
     ring = PolyRing(field=field)
     rng = DetRng(seed)
-    total = linalg.identity(6, field)
-    for mv in random_move_word(rng, 10, 3, field):
-        total = linalg.matmul(total, column_move_matrix(mv, 3, ring), field)
+    total = oracle_word_matrix(random_move_word(rng, 10, 3, field), 3, field)
     word = factor_symplectic(total, ring)
-    replay = linalg.identity(6, field)
-    for mv in word:
-        replay = linalg.matmul(replay, column_move_matrix(mv, 3, ring), field)
-    assert replay == total
+    assert oracle_word_matrix(word, 3, field) == total
 
 
 def test_factor_symplectic_over_q():
     field = QQ
     ring = PolyRing(field=field)
     rng = DetRng(77)
-    total = linalg.identity(4, field)
-    for mv in random_move_word(rng, 8, 2, field):
-        total = linalg.matmul(total, column_move_matrix(mv, 2, ring), field)
+    total = oracle_word_matrix(random_move_word(rng, 8, 2, field), 2, field)
     word = factor_symplectic(total, ring)
-    replay = linalg.identity(4, field)
-    for mv in word:
-        replay = linalg.matmul(replay, column_move_matrix(mv, 2, ring), field)
-    assert replay == total
+    assert oracle_word_matrix(word, 2, field) == total
 
 
 def test_factor_symplectic_rejects_nonsymplectic():
@@ -233,3 +223,96 @@ def test_reduce_rejects_degenerate(golden_tableau):
     T = SymmetricTableau(ring, alpha, beta)
     with pytest.raises(ContractError, match="three reduced points"):
         reduce_k11(T)
+
+
+# SHA-256 of the output and witness JSON of reduce_k11 on four scrambles of
+# 5..30 random moves of each realized seed; no input of this corpus is refused
+FIELDS = {"gf32003": GF(DEFAULT_PRIME), "q": QQ, "gf7": GF(7)}
+REDUCE_PINS = {
+    ("gf32003", 0): (
+        "bf34681efc9a78367f3f2ceacc6c7dd5265bfda7bfeb9d0da774e55894bbc23f",
+        "14e90f82e0e85634c180a71c228abb1790b68ffcb25e0e54d457fb42237703ce",
+        "b8d02a00471885467ee4cd8a74fff4959105dc07b5bccc410e2ae819da0a1198",
+        "3e59da2c82ff152c088fde7bec9c0626cb5911ae613c22b85ec9b6169951298c",
+    ),
+    ("gf32003", 1): (
+        "6dc209715b4a8b7328609885b3acd3e9b679a2b53744836970fcca05c6de6369",
+        "9370360012a1695dc317481efffeab3d86f641725fbdd82805e7086c9cfaec53",
+        "0d2e30c5bbb4043fbf2fbf4cb5579ca4c2ca2e6b4a85bffe15a76798972f0fa7",
+        "5dd791531a77c0c4ddb734a7d53a3ef732730fe93beac6d6e3d829ad1e59a4f8",
+    ),
+    ("gf32003", 2): (
+        "758a31c6c5329c60efbd6b9d21275a64150d56c245669b2e3b27fa16fb11b3bb",
+        "ef2c8968cd89c859b67bd1d30c5e4919e42dbd1f6441d37f691abc8a2f4bcaa6",
+        "30b1ef3c2ac40c93a7cfffdb485577963ab2066e3544075f3b3f710c7d402cce",
+        "c0b381895847245d012c56f6848e91982443a4a87edcfe3781e298e248941696",
+    ),
+    ("gf32003", 3): (
+        "5b7316ba5460c935589f7b0adb8b9061fde96be0611ffa558dc4e735e62c7ca6",
+        "0e28a22837129937fc2c4df7d91cec5a89eaa8c861e5e40791b7152e9721d284",
+        "2a683ef57443c6a2329db38fdd3ff0e8219253b6fb1897cf5a199e2bfbf6aafc",
+        "645a2915bd43bc8079860563e1edb3ad592c82ff283c4352725e43bd6c9752f1",
+    ),
+    ("gf32003", 5): (
+        "29e27ad5f0e4c461c1c35e1237fb8c2978aa3fde34b0a85e6e6b2d49d20c701d",
+        "045f45bc0d2e21ddc1999172f0604b31ea7429a528507898d2ca322907e04b61",
+        "383eda921e5ff6500a1f7c1d41d45b61b7f4cb66d491897e8f858273e7a70988",
+        "7f4a3b94d68bad6406f57ec492084cd8d297af1bc0ba0f17be9d74a73303c595",
+    ),
+    ("gf32003", 7): (
+        "240c83a72b7aacabea0df366e0f2ba435dd8fa67796b1b4fc6d480d63686f6b5",
+        "d9b00569982a8e28539e98cef88fae60ea576fb428e5659fea03018ddac03c1e",
+        "fc3e2e914a6be973a1bee08c332b08df1ebea4b36eb717684b906823b03d9855",
+        "b534cc9a9591919be4bbf0045066350e54b08179af4efc106b782146a8a2bd56",
+    ),
+    ("q", 0): (
+        "f260154fe9eca99d0b7187d87ea7af134650ab7562286ee2b7645aa0c53e6f4d",
+        "13a555420de4d2ddd47089c2be6cca5c263d0a2c4cf49ea7b305efcfa12249d3",
+        "efd9af311cdc4128fda21c76bafe1de01bb9d59ab1b0f4e3b111f75424cf454f",
+        "3ed5316e11aa99f760ea1b558edb1d996d3ca0c7e4e6fa1fad7947c61c30b740",
+    ),
+    ("q", 2): (
+        "1bf07b627a0844aa9f2f67c8b811597563ea7976a23ea8e784c3d9029b379150",
+        "3e952c1cf1f1a0ba8d26fc9d464ae4878e79ca956e0437b87485974122a63dea",
+        "e25a37010a1bd2be2c09f666d6b3642f80953de0f75d5bdbb7ae228b339dd322",
+        "d570a6c842312fc63a114c5aa21aadad7eda82fef8d9408e236b89294361259c",
+    ),
+    ("q", 3): (
+        "d73634659573deb50967f10933b5d2fb62abf55963ffe3c27bc15c2d7bec224d",
+        "93fe0974215bd50fcd2f5149568dfe134d2c9b5c64dc75836bb799e57745a0ea",
+        "42a100f794b70f03f24b90e4b015b58d3e68c64384db9672443986d48d872269",
+        "ad7c3be4183d3c89b7f81de9bca67f4e115e5e465f61c4f0fcc49095bd00e946",
+    ),
+    ("gf7", 0): (
+        "84fc266ead254972fdfd74d5b1cc1ad8d882b1757fb9f45c288b2fbd1b5d0ea8",
+        "d88f7512353a8fc8ea48d04f91bb4cf8f5d90e75e5589aec7c60ecc6d42f7a31",
+        "d10c4c4a2748dde44f9589cc0f17e258ff1a918fbde7db704a164115c5b0007d",
+        "e0df545fd08a1c595de3052dc11c0a5244ebd75b75e890b8e3a94114dfe3d127",
+    ),
+    ("gf7", 1): (
+        "98888711b8eef53fa42be973aa6d28ccff8bf3b96c0e07a42a56056fa63f8481",
+        "8c9a16d6d47684bd48f5bb9df605bf080c3cc264d32ff19e8b82e1445afe8b13",
+        "716d6c9c783322b5d4ce0446b2d9f0b03e5ce41e2d54c56cd4a6eda79aaf4207",
+        "ff9cbce04f4aa46bd75fbc17deec09eaf68fd45dd0e15be59ef94555b9fdf5af",
+    ),
+    ("gf7", 2): (
+        "9fbf274fcf0279a987bdb156273ce9b059455d6ea64355b39c5b4e73a459a8ce",
+        "69939f38fc7478d5be6613a9dce503b36beb84c896b5ed22f98d67be7af7641b",
+        "a6bc637b5682faba630568231332e59525f35b7771cdeb5f916ebdd6ebee023b",
+        "6577d3f3629893ab05754527dfde0d5c8118540cba376374683284d50c672722",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, seed", list(REDUCE_PINS), ids=[f"{n}-{s}" for n, s in REDUCE_PINS])
+def test_reduce_k11_pinned_outputs(name, seed):
+    field = FIELDS[name]
+    T = realize(sample(seed, field))
+    rng = DetRng(1700 + seed)
+    digests = []
+    for _ in range(4):
+        scrambled = apply_op_word(T, random_move_word(rng, rng.randint(5, 30), 3, field))
+        nf = reduce_k11(scrambled)
+        text = dumps(tableau_to_json(nf.tableau)) + dumps(moves_to_json(nf.witness_moves, field))
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert tuple(digests) == REDUCE_PINS[name, seed]

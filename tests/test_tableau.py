@@ -15,6 +15,7 @@ from symcanon.tableau import (
     OpMove,
     ScalarTableau,
     SymmetricTableau,
+    act_on_columns,
     apply_op,
     apply_op_word,
     apply_symplectic,
@@ -28,7 +29,15 @@ from symcanon.tableau import (
     symplectic_defect,
 )
 
-from conftest import GOLDEN_SEEDS, k2_10_fixture, matrix_minor, random_linear, random_move_word
+from conftest import (
+    GOLDEN_SEEDS,
+    column_move_oracle,
+    k2_10_fixture,
+    matrix_minor,
+    oracle_word_matrix,
+    random_linear,
+    random_move_word,
+)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +255,40 @@ def test_apply_symplectic_rejects_with_defect(golden_tableau):
     bad[0][1] = field.one()
     with pytest.raises(ContractError, match="defect"):
         apply_symplectic(T, bad)
+    # the defect is S J S^t - J, entry by entry
+    J = [[field.zero()] * 6 for _ in range(6)]
+    for i in range(3):
+        J[i][3 + i], J[3 + i][i] = field.one(), field.neg(field.one())
+    SJSt = linalg.matmul(linalg.matmul(bad, J, field), linalg.transpose(bad), field)
+    want = [[field.sub(x, y) for x, y in zip(r, s)] for r, s in zip(SJSt, J)]
+    assert symplectic_defect(bad, T.ring) == want
+
+
+@pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ], ids=["gf", "q"])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_column_moves_match_their_written_definition(field, width):
+    # every kind on every index choice, add_col_pair(lam, mu, mu) included
+    # (it adds lam twice); the oracle sets the matrix entries as OpMove
+    # defines them, independently of act_on_columns
+    ring = PolyRing(field=field)
+    rng = DetRng(60 + width)
+    lam = field.div(rng.nonzero_scalar(field), field.of_int(7))
+    pairs = [(mu, nu) for mu in range(width) for nu in range(width)]
+    moves = (
+        [OpMove("add_col_same", lam, mu) for mu in range(width)]
+        + [OpMove("add_col_pair", lam, mu, nu) for mu, nu in pairs]
+        + [OpMove("transfer", lam, mu, nu) for mu, nu in pairs if mu != nu]
+        + [OpMove("swap", None, mu, nu) for mu, nu in pairs]
+        + [OpMove("rotate", None, mu) for mu in range(width)]
+    )
+    for mv in moves:
+        assert column_move_matrix(mv, width, ring) == column_move_oracle(mv, width, field), mv
+        m = [[rng.scalar(field) for _ in range(2 * width)] for _ in range(3)]
+        want = linalg.matmul(m, column_move_oracle(mv, width, field), field)
+        act_on_columns(m, mv, width, ring)
+        assert m == want, mv
+    word = random_move_word(rng, 12, width, field) + moves
+    assert move_word_matrix(word, width, ring) == oracle_word_matrix(word, width, field)
 
 
 def test_symplectic_action_law(golden_tableau):
@@ -256,10 +299,7 @@ def test_symplectic_action_law(golden_tableau):
     # random symplectics as products of elementary move matrices
     def random_symplectic(seed):
         r = DetRng(seed)
-        total = linalg.identity(6, field)
-        for mv in random_move_word(r, 6, 3, field):
-            total = linalg.matmul(total, column_move_matrix(mv, 3, ring), field)
-        return total
+        return oracle_word_matrix(random_move_word(r, 6, 3, field), 3, field)
 
     S1 = random_symplectic(5)
     S2 = random_symplectic(6)
