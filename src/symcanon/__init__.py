@@ -11,7 +11,6 @@ from .errors import (
 )
 from .fields import DEFAULT_PRIME, DetRng, FieldSpec, GF, QQ, parse_field
 from .ideals import (
-    GBConfig,
     Ideal,
     codimension,
     dimension,

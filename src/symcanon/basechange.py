@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceededError, ContractError
 from .fields import DetRng
-from .ideals import DEFAULT_GB_CONFIG, GBConfig, Ideal, codimension
+from .ideals import Ideal, codimension
 from .poly import Polynomial, PolyRing
 from .tableau import (
     Minors,
@@ -153,7 +153,7 @@ def plucker_residual(
     return total
 
 
-def is_nzd_mod(f: Polynomial, I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> bool:
+def is_nzd_mod(f: Polynomial, I: Ideal) -> bool:
     """f is a nonzerodivisor on ring/(a) iff f and a share no prime factor
     (the ring is factorial), iff codim (a, f) >= 2; over (0), iff f != 0."""
     if f.is_zero():
@@ -162,7 +162,7 @@ def is_nzd_mod(f: Polynomial, I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) ->
         return True
     if len(I.generators) != 1:
         raise ContractError("nonzerodivisor test modulo a principal ideal only")
-    return codimension(Ideal(I.ring, [I.generators[0], f]), config=config) >= 2
+    return codimension(Ideal(I.ring, [I.generators[0], f])) >= 2
 
 
 @dataclass
@@ -178,14 +178,19 @@ class BaseChangeCert:
     def verified(self) -> bool:
         return self.det_alpha_nonzero and self.quotient_equal
 
-    def reverify(self, original: PairLike, config: GBConfig = DEFAULT_GB_CONFIG) -> bool:
+    def reverify(self, original: PairLike) -> bool:
         """Independent re-check: replay the moves, recompute both
         determinants and re-run the nonzerodivisor test."""
         current = apply_op_word(original, self.moves)
         da, db = _det(current, 0), _det(current, 1)
         if da != self.det_alpha or db != self.det_beta or da.is_zero():
             return False
-        return is_nzd_mod(db, Ideal(current.ring, [da]), config=config)
+        return is_nzd_mod(db, Ideal(current.ring, [da]))
+
+
+# Seeded multipliers tried in each phase of make_koszul_type, read when the
+# search checks it; a search that exhausts it raises BudgetExceededError.
+TRIAL_BUDGET = 64
 
 
 def _all_minor_indices(size: int):
@@ -195,12 +200,7 @@ def _all_minor_indices(size: int):
                 yield MinorIndex(a_sel, b_sel)
 
 
-def make_koszul_type(
-    T: PairLike,
-    seed: int = 0,
-    trial_budget: int = 64,
-    config: GBConfig = DEFAULT_GB_CONFIG,
-) -> BaseChangeCert:
+def make_koszul_type(T: PairLike, seed: int = 0) -> BaseChangeCert:
     """Symmetry-preserving column moves until det(alpha) != 0 and det(beta)
     is a nonzerodivisor modulo (det(alpha)); emits a replayable certificate.
 
@@ -246,7 +246,7 @@ def make_koszul_type(
                 tuple(sorted(best.beta_cols + (L,))),
             )
             improved = False
-            while trials < trial_budget and not improved:
+            while trials < TRIAL_BUDGET and not improved:
                 trials += 1
                 zeta = rng.nonzero_scalar(current.ring.field)
                 word = mirror_pair_word(zeta, H, L, current.ring)
@@ -257,13 +257,13 @@ def make_koszul_type(
                     improved = True
             if not improved:
                 raise BudgetExceededError(
-                    f"phase 1 overlap trade failed within {trial_budget} trials; "
+                    f"phase 1 overlap trade failed within {TRIAL_BUDGET} trials; "
                     f"last state det(alpha) = {_det(current, 0)}"
                 )
             continue
         # good minor in hand: fold its beta columns into alpha
         folded = False
-        while trials < trial_budget and not folded:
+        while trials < TRIAL_BUDGET and not folded:
             trials += 1
             b = rng.nonzero_scalar(current.ring.field)
             word = [OpMove("add_col_same", b, c) for c in best.beta_cols]
@@ -274,7 +274,7 @@ def make_koszul_type(
                 folded = True
         if not folded:
             raise BudgetExceededError(
-                f"phase 1 fold failed within {trial_budget} trials (good minor {best})"
+                f"phase 1 fold failed within {TRIAL_BUDGET} trials (good minor {best})"
             )
 
     det_alpha = _det(current, 0)
@@ -282,9 +282,9 @@ def make_koszul_type(
     # -- phase 2: det(beta) regular mod (det alpha), alpha kept fixed --------
     trials = 0
     det_beta = _det(current, 1)
-    passed = not det_beta.is_zero() and is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]), config=config)
+    passed = not det_beta.is_zero() and is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]))
     while not passed:
-        if trials >= trial_budget:
+        if trials >= TRIAL_BUDGET:
             raise BudgetExceededError(
                 "phase 2 nonzerodivisor test failed within budget; last state "
                 f"det(alpha) = {det_alpha}, det(beta) = {det_beta}"
@@ -303,7 +303,7 @@ def make_koszul_type(
         current = candidate
         moves.extend(word)
         det_beta = cand_det_beta
-        passed = is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]), config=config)
+        passed = is_nzd_mod(det_beta, Ideal(current.ring, [det_alpha]))
 
     # the nonzerodivisor test that ended the loop is the certificate's witness;
     # reverify recomputes it from the original input

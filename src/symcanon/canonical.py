@@ -28,8 +28,6 @@ from . import linalg
 from .errors import BudgetExceededError, ContractError
 from .fields import GF
 from .ideals import (
-    DEFAULT_GB_CONFIG,
-    GBConfig,
     Ideal,
     codimension,
     ideal_equal,
@@ -160,31 +158,17 @@ def cokernel_graded_dim(T: SymmetricTableau, m: int) -> int:
 
 @dataclass
 class AcyclicityReport:
-    rank_first_ok: bool
-    rank_second_ok: bool
-    codim_first: int
-    codim_second: int
+    """Rank and grade of I_{n+1}(A), which both maps share."""
+
+    rank_ok: bool
+    codim: int
 
     @property
     def passed(self) -> bool:
-        return (
-            self.rank_first_ok
-            and self.rank_second_ok
-            and self.codim_first >= 2
-            and self.codim_second >= 2
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "rank_first_ok": self.rank_first_ok,
-            "rank_second_ok": self.rank_second_ok,
-            "codim_first": self.codim_first,
-            "codim_second": self.codim_second,
-            "passed": self.passed,
-        }
+        return self.rank_ok and self.codim >= 2
 
 
-def acyclicity_check(R: GradedResolution, config: GBConfig = DEFAULT_GB_CONFIG) -> AcyclicityReport:
+def acyclicity_check(R: GradedResolution) -> AcyclicityReport:
     """Buchsbaum-Eisenbud data for the self-dual complex: both maps must
     reach rank n+1 and their ideals of maximal minors must have grade at
     least 2.
@@ -196,8 +180,8 @@ def acyclicity_check(R: GradedResolution, config: GBConfig = DEFAULT_GB_CONFIG) 
     """
     ideal = fitting_ideal(R.minors, R.n + 1)
     rank_ok = any(not g.is_zero() for g in ideal.generators)
-    codim = codimension(ideal, config=config) if rank_ok else 0
-    return AcyclicityReport(rank_ok, rank_ok, codim, codim)
+    codim = codimension(ideal) if rank_ok else 0
+    return AcyclicityReport(rank_ok, codim)
 
 
 # -- ring condition -------------------------------------------------------------
@@ -219,7 +203,6 @@ class RingConditionReport:
 def ring_condition_check(
     T: SymmetricTableau,
     scheme: Optional[DegeneracyScheme] = None,
-    config: GBConfig = DEFAULT_GB_CONFIG,
 ) -> RingConditionReport:
     """Saturated Fitting equality bar I_n(A') = bar I_n(A); for n = 2 the
     unsaturated identity I_2(A) = I_2(A') is tested and reported as well.
@@ -230,7 +213,7 @@ def ring_condition_check(
     ideal, saturated once by ``degeneracy_scheme``.
     """
     if scheme is None:
-        scheme = degeneracy_scheme(T, config=config)
+        scheme = degeneracy_scheme(T)
     if not scheme.finite:
         return RingConditionReport("skipped", "degeneracy scheme not finite", None, None, None)
     if not scheme.reduced:
@@ -243,7 +226,7 @@ def ring_condition_check(
     # all rows.  Two saturated ideals, one inside the other, are equal iff
     # their Hilbert polynomials are, and I_n(A) has its saturation's.  Equal
     # ideals have equal saturations, so a true unsaturated identity decides it.
-    sat_eq = unsat_eq or same_hilbert_polynomial(I_a, sat_aprime, config=config)
+    sat_eq = unsat_eq or same_hilbert_polynomial(I_a, sat_aprime)
     ok = sat_eq and (unsat_eq is not False)
     return RingConditionReport("pass" if ok else "fail", None, sat_eq, unsat_eq, sat_aprime)
 
@@ -251,12 +234,11 @@ def ring_condition_check(
 def conductor_ideal(
     T: SymmetricTableau,
     report: Optional[RingConditionReport] = None,
-    config: GBConfig = DEFAULT_GB_CONFIG,
 ) -> Ideal:
     """bar I_n(A') + I_{n+1}(A): the conductor presented modulo the surface
     ideal surrogate; its vanishing locus is the double-point set."""
     if report is None:
-        report = ring_condition_check(T, config=config)
+        report = ring_condition_check(T)
     if not report.passed:
         raise ContractError(f"ring condition does not pass (status: {report.status})")
     surrogate = fitting_ideal(T.minors(), T.n + 1)
@@ -308,11 +290,10 @@ class MultiplicationTable:
         return self.entries[(min(i, j), max(i, j))]
 
     def combination_residue(self, c0: Polynomial, cs: Sequence[Polynomial]) -> Polynomial:
-        """Cleared-denominator representative of c0 + sum c_k v_k."""
-        out = c0 * self.denominator
-        for c, N in zip(cs, self.numerators[1:]):
-            out = out + c * N
-        return out
+        """Cleared-denominator representative of c0 + sum c_k v_k: the row
+        (c0, c_1..c_n) times the column (D, N_1..N_n)."""
+        column = [[N] for N in self.numerators]
+        return poly_matmul([[c0, *cs]], column, self.denominator.ring)[0][0]
 
     def residue_vector(self, c0: Polynomial, cs: Sequence[Polynomial], k: int) -> Tuple[Optional[int], np.ndarray]:
         """Degree d and coefficient vector over graded_basis(ring, d) of the
@@ -619,10 +600,7 @@ class VerificationReport:
         }
 
 
-def verify_instance(
-    T: SymmetricTableau,
-    config: GBConfig = DEFAULT_GB_CONFIG,
-) -> VerificationReport:
+def verify_instance(T: SymmetricTableau) -> VerificationReport:
     """Run the full battery: symmetry, acyclicity, codimension of
     I_{n+1}(A) (the no-common-factor surrogate), degeneracy scheme, ring
     condition, invariant consistency.  Primality of the annihilator and the
@@ -635,17 +613,17 @@ def verify_instance(
     ok, where = check_symmetry(T.alpha, T.beta, T.ring)
     checks["symmetry"] = CheckResult("pass" if ok else "fail", "" if ok else f"fails at {where}")
 
-    acyc = acyclicity_check(resolution, config)
+    acyc = acyclicity_check(resolution)
     checks["acyclicity"] = CheckResult(
         "pass" if acyc.passed else "fail",
-        f"codim I_{T.n + 1}(A) = {acyc.codim_first}, second map {acyc.codim_second}",
+        f"codim I_{T.n + 1}(A) = {acyc.codim}, second map {acyc.codim}",
     )
     checks["codim_surface_ideal"] = CheckResult(
-        "pass" if acyc.codim_first == 2 else "fail",
-        f"expected exactly 2, got {acyc.codim_first}",
+        "pass" if acyc.codim == 2 else "fail",
+        f"expected exactly 2, got {acyc.codim}",
     )
 
-    scheme = degeneracy_scheme(T, config=config)
+    scheme = degeneracy_scheme(T)
     if scheme.finite and scheme.reduced and scheme.points == inv.delta:
         checks["degeneracy"] = CheckResult("pass", f"{scheme.points} reduced points")
     else:
@@ -654,7 +632,7 @@ def verify_instance(
             f"finite={scheme.finite} reduced={scheme.reduced} points={scheme.points} "
             f"expected delta={inv.delta}",
         )
-    rc = ring_condition_check(T, scheme=scheme, config=config)
+    rc = ring_condition_check(T, scheme=scheme)
     if rc.status == "skipped":
         checks["ring_condition"] = CheckResult("skipped", rc.reason or "")
     else:

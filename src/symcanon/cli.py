@@ -1,9 +1,12 @@
 """Command line front end.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 contract or parse
-error, 3 budget exhaustion.  ``-`` means standard input/output.  Options
-win over environment variables (prefix SYMCANON_), which win over the
-config file (./symcanon.json or $SYMCANON_CONFIG).
+error, 3 budget exhaustion.  ``-`` means standard input/output.  The two
+settings, field and seed, come from options, which win over environment
+variables (SYMCANON_FIELD, SYMCANON_SEED), which win over the config file
+(./symcanon.json or $SYMCANON_CONFIG).  The budgets are fixed: Groebner
+pair degree ``ideals.DEGREE_BUDGET``, ``ideals.PAIR_BUDGET`` pairs and
+``basechange.TRIAL_BUDGET`` base-change trials.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .canonical import (
 )
 from .errors import BudgetExceededError, ContractError, SymcanonError
 from .fields import DEFAULT_PRIME, FieldSpec, GF, parse_field
-from .ideals import GBConfig
 from .normalform import reduce_k11
 from .paramgen import ledger, realize, sample
 from .poly import poly_to_string
@@ -43,11 +45,6 @@ EXIT_BUDGET = 3
 class Config:
     field: FieldSpec
     seed: int
-    degree_budget: int
-    pair_budget: int
-
-    def gb_config(self) -> GBConfig:
-        return GBConfig(self.degree_budget, self.pair_budget)
 
 
 def _read_json(path: str):
@@ -97,8 +94,6 @@ def resolve_config(args: argparse.Namespace) -> Config:
     return Config(
         field=field,
         seed=integer(getattr(args, "seed", None), "seed", 0),
-        degree_budget=integer(None, "degree_budget", 48),
-        pair_budget=integer(None, "pair_budget", 400_000),
     )
 
 
@@ -123,9 +118,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = resolve_config(args)
+    resolve_config(args)  # validates the configuration; verification uses none of it
     T = serialize.tableau_from_json(_read_json(args.input))
-    report = verify_instance(T, config=cfg.gb_config())
+    report = verify_instance(T)
     if args.report:
         _write_text(args.report, serialize.render_report(report, "json"))
     _write_text(None, serialize.render_report(report, args.format))
@@ -133,11 +128,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    cfg = resolve_config(args)
+    resolve_config(args)  # validates the configuration; the reduction uses none of it
     if args.k2 != 11:
         raise ContractError("reduction to normal form exists only for K2 = 11")
     T = serialize.tableau_from_json(_read_json(args.input))
-    nf = reduce_k11(T, config=cfg.gb_config())
+    nf = reduce_k11(T)
     _write_text(args.output, dumps(serialize.tableau_to_json(nf.tableau)))
     if args.witness:
         _write_text(args.witness, dumps(serialize.moves_to_json(nf.witness_moves, T.ring.field)))
@@ -149,7 +144,7 @@ def _cmd_koszul_type(args) -> int:
     data = _read_json(args.input)
     is_tableau = isinstance(data, dict) and "n" in data
     inp = serialize.tableau_from_json(data) if is_tableau else serialize.pair_from_json(data)
-    cert = make_koszul_type(inp, seed=cfg.seed, config=cfg.gb_config())
+    cert = make_koszul_type(inp, seed=cfg.seed)
     result = cert.result
     if hasattr(result, "n"):
         _write_text(args.output, dumps(serialize.tableau_to_json(result)))
@@ -161,11 +156,11 @@ def _cmd_koszul_type(args) -> int:
 
 
 def _cmd_fitting(args) -> int:
-    cfg = resolve_config(args)
+    resolve_config(args)  # validates the configuration; the ideal uses none of it
     T = serialize.tableau_from_json(_read_json(args.input))
     k = args.size if args.size is not None else (T.n if args.erased else T.n + 1)
     ideal = fitting_ideal(T.minors(), k, rows=range(1, T.n + 1) if args.erased else None)
-    text = dumps(serialize.ideal_to_json(ideal, reduced=args.reduced, config=cfg.gb_config()))
+    text = dumps(serialize.ideal_to_json(ideal, reduced=args.reduced))
     _write_text(args.output, text)
     return EXIT_PASS
 

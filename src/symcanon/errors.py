@@ -32,7 +32,9 @@ class DegreeOverflowError(ContractError):
 
 
 class BudgetExceededError(SymcanonError):
-    """A degree/pair/trial budget ran out.
+    """A fixed budget ran out: the Groebner pair degree or pair count
+    (``ideals.DEGREE_BUDGET``, ``ideals.PAIR_BUDGET``), the base-change
+    trials (``basechange.TRIAL_BUDGET``) or a search's own guard.
 
     This signals resource exhaustion, never a mathematical conclusion.
     """

@@ -22,7 +22,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, zip_longest
+from itertools import accumulate, combinations, zip_longest
 from math import gcd
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,15 +42,10 @@ from .orders import (
 from .poly import EXPONENT_BOUND, Polynomial, PolyRing, graded_basis, graded_piece
 
 
-@dataclass
-class GBConfig:
-    """Resource budgets for Buchberger runs; exceeding one raises loudly."""
-
-    degree_budget: int = 48
-    pair_budget: int = 400_000
-
-
-DEFAULT_GB_CONFIG = GBConfig()
+# Budgets of every Buchberger run, read when the run checks them; a run
+# that exceeds one raises BudgetExceededError.
+DEGREE_BUDGET = 48
+PAIR_BUDGET = 400_000
 
 
 class Ideal:
@@ -262,7 +257,6 @@ def _buchberger(
     order: MonomialOrder,
     ring: PolyRing,
     cap: Optional[int],
-    config: GBConfig,
 ) -> List[Polynomial]:
     """Reduced Groebner basis of gens under order.  Pairs are sorted, and
     ``cap`` and the degree budget read, by degree in the variables the order
@@ -309,15 +303,15 @@ def _buchberger(
         pending.discard((i, j))
         if cap is not None and d > cap:
             break  # the queue is ordered by degree: every later pair is above cap too
-        if d > config.degree_budget:
+        if d > DEGREE_BUDGET:
             raise BudgetExceededError(
-                f"Groebner degree budget {config.degree_budget} exceeded "
+                f"Groebner degree budget {DEGREE_BUDGET} exceeded "
                 f"(pair degree {d}, {processed} pairs processed, basis size {len(basis)})"
             )
         processed += 1
-        if processed > config.pair_budget:
+        if processed > PAIR_BUDGET:
             raise BudgetExceededError(
-                f"Groebner pair budget {config.pair_budget} exceeded "
+                f"Groebner pair budget {PAIR_BUDGET} exceeded "
                 f"(pair degree {d}, {processed - 1} pairs processed, basis size {len(basis)})"
             )
         Xi, shifts_i, coeffs_i = basis[i]
@@ -378,7 +372,6 @@ def groebner_basis(
     I: Ideal,
     order: MonomialOrder = GREVLEX,
     cap: Optional[int] = None,
-    config: GBConfig = DEFAULT_GB_CONFIG,
 ) -> List[Polynomial]:
     """Reduced Groebner basis of I for the order, unique and cached.
 
@@ -395,7 +388,7 @@ def groebner_basis(
         return [g for g in full if g.degree() <= cap]
     token = (order.cache_token(), cap)
     if token not in I._gb_cache:
-        I._gb_cache[token] = _buchberger(I.generators, order, I.ring, cap, config)
+        I._gb_cache[token] = _buchberger(I.generators, order, I.ring, cap)
     return I._gb_cache[token]
 
 
@@ -440,7 +433,7 @@ def ideal_equal(I: Ideal, J: Ideal, order: MonomialOrder = GREVLEX) -> bool:
 # -- elimination constructions -------------------------------------------------
 
 
-def ideal_intersection(I: Ideal, J: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> Ideal:
+def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     """I cap J = (t I + (1 - t) J) cap k[x], t a new first variable
     eliminated by a Buchberger run under elimination(1)."""
     ring = I.ring
@@ -459,12 +452,12 @@ def ideal_intersection(I: Ideal, J: Ideal, config: GBConfig = DEFAULT_GB_CONFIG)
         return Polynomial(aux, {(0,) + m: c for m, c in g.terms.items()})
 
     gens = [t * lift(g) for g in I.generators] + [(one - t) * lift(g) for g in J.generators]
-    gb = _buchberger(gens, elimination(1), aux, None, config)
+    gb = _buchberger(gens, elimination(1), aux, None)
     eliminated = [g for g in gb if all(m[0] == 0 for m in g.terms)]
     return Ideal(ring, [Polynomial(ring, {m[1:]: c for m, c in g.terms.items()}) for g in eliminated])
 
 
-def ideal_quotient(I: Ideal, f: Polynomial, config: GBConfig = DEFAULT_GB_CONFIG) -> Ideal:
+def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     """(I : f) = {g : g f in I}, via (I cap (f)) / f."""
     if f.ring != I.ring:
         raise RingMismatchError("quotient divisor outside the ring")
@@ -474,15 +467,15 @@ def ideal_quotient(I: Ideal, f: Polynomial, config: GBConfig = DEFAULT_GB_CONFIG
         raise ContractError("ideal quotient requires a homogeneous divisor")
     if I.is_zero():
         return Ideal(I.ring, [])
-    meet = ideal_intersection(I, Ideal(I.ring, [f]), config=config)
+    meet = ideal_intersection(I, Ideal(I.ring, [f]))
     return Ideal(I.ring, [g.exact_divide(f) for g in meet.generators])
 
 
-def _saturate_variable(I: Ideal, var: int, config: GBConfig) -> Ideal:
+def _saturate_variable(I: Ideal, var: int) -> Ideal:
     """(I : x_var^infty) read off a grevlex basis with x_var smallest."""
     ring = I.ring
     order = grevlex_with_last(ring.nvars, var)
-    gb = groebner_basis(I, order, config=config)
+    gb = groebner_basis(I, order)
     out = []
     for g in gb:
         shift = min(m[var] for m in g.terms)
@@ -498,7 +491,7 @@ def _saturate_variable(I: Ideal, var: int, config: GBConfig) -> Ideal:
     return Ideal(ring, out)
 
 
-def saturate(I: Ideal, *, config: GBConfig = DEFAULT_GB_CONFIG) -> Ideal:
+def saturate(I: Ideal) -> Ideal:
     """sat(I) = (I : (x0..x4)^infty).
 
     Each (I : x_v^infty) is saturated and contains sat(I), and so is any
@@ -512,30 +505,28 @@ def saturate(I: Ideal, *, config: GBConfig = DEFAULT_GB_CONFIG) -> Ideal:
         return Ideal(ring, [])
     result = None
     for v in range(ring.nvars - 1, -1, -1):
-        part = _saturate_variable(I, v, config)
-        result = part if result is None else ideal_intersection(result, part, config=config)
-        if v == 0 or same_hilbert_polynomial(result, I, config=config):
+        part = _saturate_variable(I, v)
+        result = part if result is None else ideal_intersection(result, part)
+        if v == 0 or same_hilbert_polynomial(result, I):
             return result
 
 
 # -- dimension, degree, radicality ---------------------------------------------
 
 
-def dimension(I: Ideal, order: MonomialOrder = GREVLEX, config: GBConfig = DEFAULT_GB_CONFIG) -> int:
+def dimension(I: Ideal, order: MonomialOrder = GREVLEX) -> int:
     """Affine Krull dimension of ring/I via a maximal independent set of
     variables for the leading-term ideal; ring/(1) reports -1."""
     ring = I.ring
     if I.is_zero():
         return ring.nvars
-    gb = groebner_basis(I, order, config=config)
+    gb = groebner_basis(I, order)
     if any(g.degree() == 0 for g in gb):
         return -1
     supports = [
         frozenset(i for i, e in enumerate(g.leading_monomial(order)) if e) for g in gb
     ]
     n = ring.nvars
-    from itertools import combinations
-
     for size in range(n, -1, -1):
         for subset in combinations(range(n), size):
             s = set(subset)
@@ -544,9 +535,9 @@ def dimension(I: Ideal, order: MonomialOrder = GREVLEX, config: GBConfig = DEFAU
     return 0
 
 
-def codimension(I: Ideal, order: MonomialOrder = GREVLEX, config: GBConfig = DEFAULT_GB_CONFIG) -> int:
+def codimension(I: Ideal, order: MonomialOrder = GREVLEX) -> int:
     """grade(I) = codim(I) over the Cohen-Macaulay polynomial ring."""
-    return I.ring.nvars - dimension(I, order, config)
+    return I.ring.nvars - dimension(I, order)
 
 
 def _minimalize_monomials(monos: List[Monomial]) -> List[Monomial]:
@@ -579,9 +570,9 @@ def _hilbert_numerator(monos: List[Monomial]) -> List[int]:
     return out
 
 
-def _grevlex_numerator(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> List[int]:
+def _grevlex_numerator(I: Ideal) -> List[int]:
     """Hilbert numerator of ring/I, from the grevlex leading monomials."""
-    gb = groebner_basis(I, GREVLEX, config=config)
+    gb = groebner_basis(I, GREVLEX)
     return _hilbert_numerator([g.leading_monomial(GREVLEX) for g in gb])
 
 
@@ -590,13 +581,13 @@ def _divide_one_minus_t(num: List[int]) -> List[int]:
     return list(accumulate(num[:-1]))
 
 
-def same_hilbert_polynomial(I: Ideal, J: Ideal, *, config: GBConfig = DEFAULT_GB_CONFIG) -> bool:
+def same_hilbert_polynomial(I: Ideal, J: Ideal) -> bool:
     """Whether ring/I and ring/J have the same Hilbert polynomial: their
     Hilbert series are N_I(t), N_J(t) over (1-t)^n, and the polynomials
     agree iff (1-t)^n divides N_I - N_J."""
     if I.ring != J.ring:
         raise RingMismatchError("Hilbert polynomials across rings")
-    a, b = _grevlex_numerator(I, config), _grevlex_numerator(J, config)
+    a, b = _grevlex_numerator(I), _grevlex_numerator(J)
     diff = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
     for _ in range(I.ring.nvars):
         if sum(diff):
@@ -615,12 +606,12 @@ def _numerator_at_one(I_sat: Ideal) -> Tuple[int, int]:
     return c, sum(num)
 
 
-def multiplicity(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> int:
+def multiplicity(I: Ideal) -> int:
     """Degree of the projective scheme of I (Hilbert-polynomial leading data),
     computed from the saturation; equals the length for point schemes."""
     if I.is_zero():
         raise ContractError("multiplicity of the zero ideal is undefined")
-    sat = saturate(I, config=config)
+    sat = saturate(I)
     if not sat.generators:
         raise ContractError("multiplicity of the zero ideal is undefined")
     if sat.contains_one():
@@ -665,7 +656,7 @@ def _multiplication_operator(sat: Ideal, form: Polynomial, source: List[Monomial
     return [[scalar(r[col[mono]]) for r in residues] for mono in target]
 
 
-def zero_dim_analysis(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> ZeroDimAnalysis:
+def zero_dim_analysis(I: Ideal) -> ZeroDimAnalysis:
     """Reducedness and distinct-point count for a projective 0-dimensional I.
 
     Works entirely with graded pieces: in a stable degree the quotient by
@@ -675,7 +666,7 @@ def zero_dim_analysis(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> ZeroDim
       * g not squarefree        -> not reduced (for any u);
       * g squarefree, deg g = e -> reduced with e distinct points.
     """
-    return _zero_dim_saturated(saturate(I, config=config))
+    return _zero_dim_saturated(saturate(I))
 
 
 # seeded (h, u) draws before degenerate eliminants are reported
@@ -754,11 +745,11 @@ def _minimal_polynomial(theta, field: FieldSpec) -> List[Scalar]:
     raise AssertionError("operator has no minimal polynomial of degree <= dim")
 
 
-def is_radical_zerodim(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> bool:
+def is_radical_zerodim(I: Ideal) -> bool:
     """True iff the (saturated) projective 0-dimensional scheme is reduced."""
-    return zero_dim_analysis(I, config=config).reduced
+    return zero_dim_analysis(I).reduced
 
 
-def point_count(I: Ideal, config: GBConfig = DEFAULT_GB_CONFIG) -> int:
+def point_count(I: Ideal) -> int:
     """Number of distinct projective points (multiplicity ignored)."""
-    return zero_dim_analysis(I, config=config).points
+    return zero_dim_analysis(I).points

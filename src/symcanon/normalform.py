@@ -31,7 +31,6 @@ from typing import Callable, List, Optional, Tuple
 from . import linalg, univariate
 from .errors import ContractError
 from .fields import FieldSpec, Scalar
-from .ideals import GBConfig, DEFAULT_GB_CONFIG
 from .poly import PolyRing, graded_piece
 from .tableau import (
     OpMove,
@@ -421,7 +420,7 @@ def _interpolate(xs: List[Scalar], ys: List[Scalar], field: FieldSpec) -> List[S
     return result
 
 
-def reduce_k11(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> NormalFormK11:
+def reduce_k11(T: SymmetricTableau) -> NormalFormK11:
     """Reduce a valid K2 = 11 tableau to the normal form, emitting a move
     word; the output is that word's replay on T, built once.
 
@@ -433,7 +432,7 @@ def reduce_k11(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> Nor
         raise ContractError("reduce_k11 requires n = 2 (K2 = 11)")
     if verify_normal_shape(T).ok:
         return NormalFormK11(T, [])
-    scheme = degeneracy_scheme(T, config=config)
+    scheme = degeneracy_scheme(T)
     if not (scheme.finite and scheme.reduced and scheme.points == 3):
         raise ContractError(
             "not three reduced points: degeneracy scheme reports "

@@ -15,7 +15,7 @@ from .basechange import BaseChangeCert, SquareSymmetricPair
 from .canonical import VerificationReport, resolution_shifts
 from .errors import ContractError
 from .fields import FieldSpec, Scalar
-from .ideals import DEFAULT_GB_CONFIG, GBConfig, Ideal, groebner_basis
+from .ideals import Ideal, groebner_basis
 from .koszul import SkewWitness
 from .orders import GREVLEX
 from .paramgen import ParameterPoint
@@ -122,10 +122,10 @@ def tableau_from_json(data: dict) -> SymmetricTableau:
     return SymmetricTableau(ring, alpha, beta)
 
 
-def ideal_to_json(I: Ideal, reduced: bool = False, config: GBConfig = DEFAULT_GB_CONFIG) -> dict:
+def ideal_to_json(I: Ideal, reduced: bool = False) -> dict:
     if reduced:
         gens = sorted(
-            groebner_basis(I, config=config),
+            groebner_basis(I),
             key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)),
             reverse=True,
         )

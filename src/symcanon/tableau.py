@@ -23,8 +23,6 @@ from . import linalg
 from .errors import ContractError
 from .fields import Scalar
 from .ideals import (
-    GBConfig,
-    DEFAULT_GB_CONFIG,
     Ideal,
     _zero_dim_saturated,
     dimension,
@@ -445,17 +443,17 @@ class DegeneracyScheme:
     length: Optional[int] = None
 
 
-def degeneracy_scheme(T: SymmetricTableau, config: GBConfig = DEFAULT_GB_CONFIG) -> DegeneracyScheme:
+def degeneracy_scheme(T: SymmetricTableau) -> DegeneracyScheme:
     """Saturated I_n(A') together with finiteness, reducedness and the
     distinct-point count; the nonnormal locus of the surface."""
     I = fitting_ideal(T.minors(), T.n, rows=range(1, T.n + 1))
-    sat = saturate(I, config=config)
+    sat = saturate(I)
     if not sat.generators:
         # rank drops everywhere: the whole projective space degenerates
         return DegeneracyScheme(sat, False, None, None)
     if sat.contains_one():
         return DegeneracyScheme(sat, True, None, 0, 0)
-    dim = dimension(sat, config=config)
+    dim = dimension(sat)
     if dim > 1:
         return DegeneracyScheme(sat, False, None, None)
     analysis = _zero_dim_saturated(sat)

@@ -114,12 +114,12 @@ def test_criterion_06_acyclicity(golden_tableaux):
     with Budget("criterion 06: Eisenbud-Buchsbaum acyclicity", 120):
         for T in golden_tableaux[:3]:
             rep = acyclicity_check(build_resolution(T))
-            assert rep.passed and rep.codim_first == 2
+            assert rep.passed and rep.codim == 2
         T = golden_tableaux[0]
         mutated = SymmetricTableau(T.ring, T.alpha, [row[:] for row in T.alpha])
         rep = acyclicity_check(build_resolution(mutated))
         assert not rep.passed
-        assert rep.codim_first == 1  # the certificate: grade collapses to 1
+        assert rep.codim == 1  # the certificate: grade collapses to 1
 
 
 def test_criterion_07_porteous_degree():

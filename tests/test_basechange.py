@@ -174,7 +174,7 @@ def test_is_nzd_matches_quotient_on_the_search(monkeypatch):
     # every (det beta, (det alpha)) that make_koszul_type meets
     met = []
 
-    def recording(f, I, config=None):
+    def recording(f, I):
         met.append((f, I))
         return is_nzd_mod(f, I)
 
@@ -185,8 +185,9 @@ def test_is_nzd_matches_quotient_on_the_search(monkeypatch):
     ring = met[0][0].ring
     rng = DetRng(9)
     alpha = [[random_linear(ring, rng) for _ in range(2)] for _ in range(2)]
+    monkeypatch.setattr(bc, "TRIAL_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
-        make_koszul_type(SquareSymmetricPair(ring, alpha, [row[:] for row in alpha]), trial_budget=2)
+        make_koszul_type(SquareSymmetricPair(ring, alpha, [row[:] for row in alpha]))
     verdicts = [is_nzd_mod(f, I) for f, I in met]
     assert verdicts == [_nzd_by_quotient(f, I) for f, I in met]
     assert True in verdicts and False in verdicts
@@ -274,12 +275,13 @@ def test_cokernel_invariance():
     assert ideal_equal(s1, s2)
 
 
-def test_alpha_equals_beta_budget_exhaustion(ring):
+def test_alpha_equals_beta_budget_exhaustion(ring, monkeypatch):
     rng = DetRng(9)
     alpha = [[random_linear(ring, rng) for _ in range(2)] for _ in range(2)]
     pair = SquareSymmetricPair(ring, alpha, [row[:] for row in alpha])
+    monkeypatch.setattr(bc, "TRIAL_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        make_koszul_type(pair, seed=0, trial_budget=10)
+        make_koszul_type(pair, seed=0)
 
 
 def test_char_two_refused():

@@ -28,7 +28,6 @@ from symcanon.canonical import (
 from symcanon.errors import BudgetExceededError, ContractError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
-    GBConfig,
     Ideal,
     codimension,
     dimension,
@@ -37,7 +36,7 @@ from symcanon.ideals import (
     point_count,
     saturate,
 )
-from symcanon import canonical, linalg, poly, tableau
+from symcanon import canonical, ideals, linalg, poly, tableau
 from symcanon.paramgen import realize, sample
 from symcanon.poly import PolyRing, graded_basis, graded_piece, parse_poly
 from symcanon.serialize import render_report
@@ -82,15 +81,16 @@ def test_euler_equals_cokernel_dimension(golden_tableau):
 def test_acyclicity_golden(golden_tableau):
     rep = acyclicity_check(build_resolution(golden_tableau))
     assert rep.passed
-    assert rep.codim_first == 2 and rep.codim_second == 2
-    assert rep.rank_first_ok and rep.rank_second_ok
+    assert rep.codim == 2
+    assert rep.rank_ok
 
 
-def test_acyclicity_honours_the_groebner_budget(golden_tableau):
-    # the codimension runs of the grade condition take the caller's budget
+def test_acyclicity_honours_the_groebner_budget(golden_tableau, monkeypatch):
+    # the codimension runs of the grade condition read the module budget
     R = build_resolution(golden_tableau)
+    monkeypatch.setattr(ideals, "DEGREE_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
-        acyclicity_check(R, GBConfig(degree_budget=2))
+        acyclicity_check(R)
 
 
 def test_acyclicity_alpha_equals_beta_fails(golden_tableau):
@@ -100,7 +100,7 @@ def test_acyclicity_alpha_equals_beta_fails(golden_tableau):
     mutated = SymmetricTableau(T.ring, T.alpha, [row[:] for row in T.alpha])
     rep = acyclicity_check(build_resolution(mutated))
     assert not rep.passed
-    assert rep.codim_first == 1
+    assert rep.codim == 1
 
 
 def _minors_up_to_sign(M, k, ring):
@@ -154,8 +154,8 @@ def test_acyclicity_matches_each_maps_own_fitting_ideal(golden_tableaux, case):
     R = build_resolution(T)
     rep = acyclicity_check(R)
     (ok1, codim1), (ok2, codim2) = _own_fitting_report(R)
-    assert (rep.rank_first_ok, rep.codim_first) == (ok1, codim1)
-    assert (rep.rank_second_ok, rep.codim_second) == (ok2, codim2)
+    assert (rep.rank_ok, rep.codim) == (ok1, codim1)
+    assert (rep.rank_ok, rep.codim) == (ok2, codim2)
     if case == "alpha_is_beta":
         assert codim1 == 1
     else:

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from symcanon import canonical
+from symcanon import canonical, ideals
 from symcanon.cli import main
 from symcanon.errors import ContractError
 from symcanon.fields import DEFAULT_PRIME, GF
@@ -216,7 +216,6 @@ BAD_SETTINGS = {
     "field_flag": (["--field", "p:abc"], {}, None, None),
     "field_env": ([], {"SYMCANON_FIELD": "p:abc"}, None, None),
     "seed_env": ([], {"SYMCANON_SEED": "abc"}, None, None),
-    "budget_env": ([], {"SYMCANON_DEGREE_BUDGET": "1.5"}, None, None),
     "seed_file": ([], {}, json.dumps({"seed": "x"}), None),
     "file_not_object": ([], {}, json.dumps("fieldx"), None),
     "superscript_exponent": ([], {}, None, _edited_entry("x0^\u00b2")),
@@ -255,7 +254,7 @@ def test_bad_settings_and_long_integers_exit_2(tmp_path, monkeypatch, capsys, go
 
 def test_fitting_reduced_honours_the_degree_budget(golden_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SYMCANON_CONFIG", str(tmp_path / "absent.json"))
-    monkeypatch.setenv("SYMCANON_DEGREE_BUDGET", "1")
+    monkeypatch.setattr(ideals, "DEGREE_BUDGET", 1)
     assert main(["fitting", golden_file, "--reduced", "-o", str(tmp_path / "i.json")]) == 3
     assert "degree budget 1" in capsys.readouterr().err
 

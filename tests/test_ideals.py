@@ -9,7 +9,6 @@ from symcanon import ideals
 from symcanon.errors import BudgetExceededError, ContractError, DegreeOverflowError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
-    GBConfig,
     Ideal,
     codimension,
     dimension,
@@ -69,17 +68,52 @@ def test_gb_linear_elimination(R):
     assert {str(g) for g in gb} == {"x0", "x1"}
 
 
-def test_gb_budget_loud(R):
-    small = GBConfig(degree_budget=1, pair_budget=10)
+def test_gb_budget_loud(R, monkeypatch):
     ideal = I(R, "x0^2 - x1*x2", "x1^2 - x0*x3", "x2^2 - x3*x4")
+    monkeypatch.setattr(ideals, "DEGREE_BUDGET", 1)
+    monkeypatch.setattr(ideals, "PAIR_BUDGET", 10)
     with pytest.raises(BudgetExceededError) as err:
-        groebner_basis(ideal, config=small)
+        groebner_basis(ideal)
     assert "pair degree 4, 0 pairs processed, basis size 3" in str(err.value)
+    monkeypatch.setattr(ideals, "DEGREE_BUDGET", 48)
+    monkeypatch.setattr(ideals, "PAIR_BUDGET", 2)
     with pytest.raises(BudgetExceededError) as err:
-        groebner_basis(ideal, config=GBConfig(pair_budget=2))
+        groebner_basis(ideal)
     message = str(err.value)
     assert "pair budget 2" in message and "2 pairs processed" in message
     assert "pair degree" in message and "basis size" in message
+
+
+# every entry point that runs Buchberger, on fresh ideals: the linear
+# I = (x0, x1), J = (x0*x2, x1*x2) and f = x0*x2, whose runs all meet a
+# pair of degree 2
+BUCHBERGER_ENTRY_POINTS = {
+    "groebner_basis": lambda I, J, f: groebner_basis(I),
+    "normal_form_poly": lambda I, J, f: normal_form_poly(f, I),
+    "ideal_contains": lambda I, J, f: ideal_contains(I, f),
+    "ideal_equal": lambda I, J, f: ideal_equal(J, I),
+    "ideal_intersection": lambda I, J, f: ideal_intersection(I, J),
+    "saturate": lambda I, J, f: saturate(I),
+    "codimension": lambda I, J, f: codimension(I),
+    "same_hilbert_polynomial": lambda I, J, f: same_hilbert_polynomial(I, J),
+    "multiplicity": lambda I, J, f: multiplicity(I),
+}
+
+
+@pytest.mark.parametrize("entry", BUCHBERGER_ENTRY_POINTS)
+def test_every_entry_point_reads_the_degree_budget(R, monkeypatch, entry):
+    monkeypatch.setattr(ideals, "DEGREE_BUDGET", 1)
+    f = parse_poly("x0*x2", R)
+    with pytest.raises(BudgetExceededError, match="Groebner degree budget 1 exceeded"):
+        BUCHBERGER_ENTRY_POINTS[entry](I(R, "x0", "x1"), I(R, "x0*x2", "x1*x2"), f)
+
+
+def test_gb_degree_budget_at_its_value(R):
+    with pytest.raises(BudgetExceededError) as err:
+        groebner_basis(I(R, "x0^25*x1", "x0*x1^25"))
+    assert str(err.value) == (
+        "Groebner degree budget 48 exceeded (pair degree 50, 0 pairs processed, basis size 2)"
+    )
 
 
 def test_gb_refuses_unpackable_exponent(R):
@@ -257,14 +291,16 @@ def test_elimination_outputs_pinned(field, request):
         assert _printed_digest([case() for case in cases]) == pins[kind], kind
 
 
-def test_intersection_budget_counts_the_kept_variables(R):
+def test_intersection_budget_counts_the_kept_variables(R, monkeypatch):
     # the reduced basis is the same for any pair order, so the pins above
     # cannot see which degree the run counts; its budget can: the pair
     # t*x0*x1 of (t*x0, (1 - t)*x1) has degree 2 in x0..x4
-    meet = ideal_intersection(I(R, "x0"), I(R, "x1"), config=GBConfig(degree_budget=2))
+    monkeypatch.setattr(ideals, "DEGREE_BUDGET", 2)
+    meet = ideal_intersection(I(R, "x0"), I(R, "x1"))
     assert [str(g) for g in meet.generators] == ["x0*x1"]
+    monkeypatch.setattr(ideals, "DEGREE_BUDGET", 1)
     with pytest.raises(BudgetExceededError, match="pair degree 2"):
-        ideal_intersection(I(R, "x0"), I(R, "x1"), config=GBConfig(degree_budget=1))
+        ideal_intersection(I(R, "x0"), I(R, "x1"))
 
 
 @pytest.mark.parametrize("names", [("t_", "x1", "x2", "x3", "x4"), ("t_", "t__", "x2", "x3", "x4")])
