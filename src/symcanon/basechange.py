@@ -2,14 +2,15 @@
 
 Over the graded polynomial ring (a domain) the first phase of the
 good-minor argument reduces to making det(alpha) nonzero, and the second
-asks that det(beta) be a nonzerodivisor modulo (det(alpha)), tested as a
-codimension: the two determinants must generate an ideal of codimension at
-least 2.  The searches mirror the overlap-minimality bookkeeping of the
-proof: a maximal minor mixing an alpha-column and the matching beta-column
-("not good") is traded, via the move adding zeta*alpha_H to beta_L and
-zeta*alpha_L to beta_H, for one with strictly smaller overlap, the Pluecker
-relations guaranteeing the trade works for generic zeta.  Multipliers come
-from a seeded sequence and every step is verified; budgets fail loudly.
+asks that det(beta) be a nonzerodivisor modulo (det(alpha)): the two
+determinants must have no common factor, certified on a line or else read
+off the codimension of the ideal they generate.  The searches mirror the
+overlap-minimality bookkeeping of the proof: a maximal minor mixing an
+alpha-column and the matching beta-column ("not good") is traded, via the
+move adding zeta*alpha_H to beta_L and zeta*alpha_L to beta_H, for one with
+strictly smaller overlap, the Pluecker relations guaranteeing the trade
+works for generic zeta.  Multipliers come from a seeded sequence and every
+step is verified; budgets fail loudly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import BudgetExceededError, ContractError
 from .fields import DetRng
 from .ideals import Ideal, codimension
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, coprime_on_a_line
 from .tableau import (
     Minors,
     OpMove,
@@ -155,14 +156,17 @@ def plucker_residual(
 
 def is_nzd_mod(f: Polynomial, I: Ideal) -> bool:
     """f is a nonzerodivisor on ring/(a) iff f and a share no prime factor
-    (the ring is factorial), iff codim (a, f) >= 2; over (0), iff f != 0."""
+    (the ring is factorial), iff codim (a, f) >= 2; over (0), iff f != 0.
+    A line on which a and f restrict to coprime forms certifies it; without
+    one the codimension decides."""
     if f.is_zero():
         raise ContractError("nonzerodivisor test on the zero element")
     if I.is_zero():
         return True
     if len(I.generators) != 1:
         raise ContractError("nonzerodivisor test modulo a principal ideal only")
-    return codimension(Ideal(I.ring, [I.generators[0], f])) >= 2
+    pair = [I.generators[0], f]
+    return coprime_on_a_line([pair], I.ring) is not None or codimension(Ideal(I.ring, pair)) >= 2
 
 
 @dataclass

@@ -8,11 +8,12 @@ with F0 = R + R(-2)^n, F1 = R(-3)^(2n+2), F2 = R(-6) + R(-4)^n.  The
 composite is beta alpha^t - alpha beta^t, so it vanishes exactly by the
 symmetry, and the second map is A transposed against the symplectic form:
 both maps have the maximal minors of A, up to sign.  This module checks
-Buchsbaum-Eisenbud acyclicity from that one Fitting ideal I_{n+1}(A),
-reads the surface invariants off the Hilbert resolution, decides the ring
-condition (saturated Fitting-ideal equality), produces the Cramer
-multiplication table of the cokernel algebra, and runs the generic
-graded-exactness experiment behind the reflexivity remark.
+Buchsbaum-Eisenbud acyclicity from that one Fitting ideal I_{n+1}(A), its
+grade certified on a line when it can be and computed otherwise, reads the
+surface invariants off the Hilbert resolution, decides the ring condition
+(saturated Fitting-ideal equality), produces the Cramer multiplication
+table of the cokernel algebra, and runs the generic graded-exactness
+experiment behind the reflexivity remark.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .ideals import (
     ideal_equal,
     same_hilbert_polynomial,
 )
-from .poly import Polynomial, PolyRing, graded_basis, graded_map, graded_piece, poly_matmul
+from .poly import Polynomial, PolyRing, coprime_on_a_line, graded_basis, graded_map, graded_piece, poly_matmul
 from .tableau import (
     DegeneracyScheme,
     Minors,
@@ -168,7 +169,7 @@ class AcyclicityReport:
         return self.rank_ok and self.codim >= 2
 
 
-def acyclicity_check(R: GradedResolution) -> AcyclicityReport:
+def acyclicity_check(R: GradedResolution, symmetric: bool = False) -> AcyclicityReport:
     """Buchsbaum-Eisenbud data for the self-dual complex: both maps must
     reach rank n+1 and their ideals of maximal minors must have grade at
     least 2.
@@ -177,7 +178,16 @@ def acyclicity_check(R: GradedResolution) -> AcyclicityReport:
     up to sign, so the maximal minors of both maps are those of A up to sign
     and one Fitting ideal I_{n+1}(A) serves both.  A map has rank n+1 iff
     that ideal is nonzero; its nonzero minors are the rank certificates.
+
+    ``symmetric`` is the verdict of check_symmetry on the tableau.  When it
+    holds and the maximal minors have no common factor on a line
+    (coprime_on_a_line), the complex is exact: then the cokernel B has the
+    twists' Hilbert polynomial, so dim B = 3, and I_{n+1}(A), which has the
+    radical of ann B, has codimension exactly 2.  Otherwise the codimension
+    is computed.
     """
+    if symmetric and coprime_on_a_line(R.first_map, R.ring) is not None:
+        return AcyclicityReport(True, 2)
     ideal = fitting_ideal(R.minors, R.n + 1)
     rank_ok = any(not g.is_zero() for g in ideal.generators)
     codim = codimension(ideal) if rank_ok else 0
@@ -613,7 +623,7 @@ def verify_instance(T: SymmetricTableau) -> VerificationReport:
     ok, where = check_symmetry(T.alpha, T.beta, T.ring)
     checks["symmetry"] = CheckResult("pass" if ok else "fail", "" if ok else f"fails at {where}")
 
-    acyc = acyclicity_check(resolution)
+    acyc = acyclicity_check(resolution, symmetric=ok)
     checks["acyclicity"] = CheckResult(
         "pass" if acyc.passed else "fail",
         f"codim I_{T.n + 1}(A) = {acyc.codim}, second map {acyc.codim}",

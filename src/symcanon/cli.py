@@ -4,9 +4,11 @@ Exit codes: 0 success/pass, 1 verification failure, 2 contract or parse
 error, 3 budget exhaustion.  ``-`` means standard input/output.  The two
 settings, field and seed, come from options, which win over environment
 variables (SYMCANON_FIELD, SYMCANON_SEED), which win over the config file
-(./symcanon.json or $SYMCANON_CONFIG).  The budgets are fixed: Groebner
-pair degree ``ideals.DEGREE_BUDGET``, ``ideals.PAIR_BUDGET`` pairs and
-``basechange.TRIAL_BUDGET`` base-change trials.
+(./symcanon.json or $SYMCANON_CONFIG).  Another key in the config file is
+refused (exit 2).  The budgets are fixed: Groebner pair degree
+``ideals.DEGREE_BUDGET``, ``ideals.PAIR_BUDGET`` pairs and
+``basechange.TRIAL_BUDGET`` base-change trials; the removed
+SYMCANON_DEGREE_BUDGET and SYMCANON_PAIR_BUDGET are refused too.
 """
 
 from __future__ import annotations
@@ -57,15 +59,25 @@ def _read_json(path: str):
         raise ContractError(f"unreadable JSON: {exc}") from None
 
 
+SETTINGS = ("field", "seed")
+REMOVED_ENV = ("SYMCANON_DEGREE_BUDGET", "SYMCANON_PAIR_BUDGET")
+
+
 def _load_config_file() -> dict:
     path = os.environ.get("SYMCANON_CONFIG", "symcanon.json")
     data = _read_json(path) if os.path.exists(path) else {}
     if not isinstance(data, dict):
         raise ContractError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(data) - set(SETTINGS))
+    if unknown:
+        raise ContractError(f"config file {path}: unknown setting {unknown[0]!r} (settings: {', '.join(SETTINGS)})")
     return data
 
 
 def resolve_config(args: argparse.Namespace) -> Config:
+    for name in REMOVED_ENV:
+        if name in os.environ:
+            raise ContractError(f"{name} was removed: the Groebner budgets are fixed")
     file_cfg = _load_config_file()
 
     def pick(flag_value, key: str, default):

@@ -8,12 +8,14 @@ has an empty dict.  Values are never mutated after construction.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from math import comb
 from operator import add, mul, sub
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import univariate
 from .errors import ContractError, DegreeOverflowError, ParseError, RingMismatchError
 from .fields import FieldSpec, Scalar
 from .orders import GREVLEX, KEY_DEGREE_BOUND, Monomial, MonomialOrder
@@ -546,3 +548,86 @@ def poly_matmul(
             out_row.append(s)
         out.append(out_row)
     return out
+
+
+# -- grade certificates on a line ------------------------------------------------
+
+# Lines p + t*q of P^4 tried by coprime_on_a_line, in order: small integer
+# points, fixed, with no seed.
+Line = Tuple[Tuple[int, ...], Tuple[int, ...]]
+CERTIFICATE_LINES: Tuple[Line, ...] = (
+    ((1, 2, -1, 3, 1), (2, -1, 1, 0, 3)),
+    ((3, 1, 2, -2, 1), (1, 3, -1, 2, -2)),
+    ((2, -3, 1, 1, 4), (-1, 2, 3, 1, 1)),
+)
+
+
+def restrict_to_line(f: Polynomial, line: Line) -> univariate.Coeffs:
+    """f(p + t*q) in ascending powers of t, padded to deg f + 1 entries, so
+    the last entry is f's top-degree part at q; [] for the zero form."""
+    field = f.ring.field
+    out = [field.zero()] * (f.degree() + 1)
+    linear = [[field.of_int(a), field.of_int(b)] for a, b in zip(*line)]
+    for exp, c in f.terms.items():
+        term = [c]
+        for lin, e in zip(linear, exp):
+            for _ in range(e):
+                term = univariate.mul(term, lin, field)
+        for k, a in enumerate(term):
+            out[k] = field.add(out[k], a)
+    return out
+
+
+def _padded(f: univariate.Coeffs, length: int, field: FieldSpec) -> univariate.Coeffs:
+    return f + [field.zero()] * (length - len(f))
+
+
+def _line_minor(M, r: int, cols: Tuple[int, ...], memo: dict, field: FieldSpec) -> univariate.Coeffs:
+    """The minor of the restricted matrix M on rows r.. and ``cols``, by
+    expansion along row r.  Lengths are degree bounds, as for restrictions:
+    a product of lengths a and b has length a + b - 1."""
+    if r == len(M):
+        return [field.one()]
+    key = (r, cols)
+    if key not in memo:
+        total: univariate.Coeffs = []
+        for k, c in enumerate(cols):
+            sub_minor = _line_minor(M, r + 1, cols[:k] + cols[k + 1:], memo, field)
+            if not M[r][c] or not sub_minor:
+                continue
+            term = _padded(univariate.mul(M[r][c], sub_minor, field), len(M[r][c]) + len(sub_minor) - 1, field)
+            if k % 2:
+                term = univariate.scale(term, field.neg(field.one()), field)
+            total = _padded(univariate.add(total, term, field), max(len(total), len(term)), field)
+        memo[key] = total
+    return memo[key]
+
+
+def coprime_on_a_line(matrix: Sequence[Sequence[Polynomial]], ring: PolyRing) -> Optional[Line]:
+    """A line of CERTIFICATE_LINES on which the maximal minors of ``matrix``
+    have no common factor, or None.  A list of forms is the one-row matrix
+    [forms], whose maximal minors are the forms.
+
+    A common factor h of the minors restricts on the line to a common factor
+    of the restricted minors, unless h is constant there, which makes its top
+    part vanish at q and so the top part of every minor.  So when the
+    restrictions have gcd 1 and one minor's top part is nonzero at q, the
+    minors have no common factor: R is factorial, so the ideal they generate
+    has grade >= 2.  The minors are those of the restricted matrix, and are
+    never formed in R.  A line that certifies nothing proves nothing.
+    """
+    if not matrix or ring.nvars != len(CERTIFICATE_LINES[0][0]):
+        return None
+    field = ring.field
+    for line in CERTIFICATE_LINES:
+        M = [[restrict_to_line(f, line) for f in row] for row in matrix]
+        memo: dict = {}
+        common: univariate.Coeffs = []
+        top_at_q = False
+        for cols in combinations(range(len(M[0])), len(M)):
+            minor = _line_minor(M, 0, cols, memo, field)
+            common = univariate.gcd(common, minor, field)
+            top_at_q = top_at_q or bool(minor) and not field.is_zero(minor[-1])
+            if top_at_q and len(common) == 1:
+                return line
+    return None

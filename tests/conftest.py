@@ -21,6 +21,9 @@ from symcanon.poly import PolyRing, graded_basis
 from symcanon.tableau import OpMove, SymmetricTableau
 
 GOLDEN_SEEDS = (0, 1, 2, 3, 5, 7)
+# seeds whose tableau over Q verifies PASS (seed 1 fails the regularity
+# precondition of realize); with GOLDEN_SEEDS, the verify benchmark's pool
+Q_SEEDS = (0, 2, 3, 4)
 
 
 @pytest.fixture(scope="session")

@@ -150,6 +150,22 @@ def test_is_nzd_examples(ring):
         is_nzd_mod(x[2], Ideal(ring, [x[0], x[1]]))
 
 
+def test_is_nzd_refuses_a_common_cubic_factor(ring, monkeypatch):
+    # a and f share a cubic: no line certifies, and the codimension, run
+    # as the fallback, decides False; a coprime pair is certified on a line
+    x = ring.gens()
+    c = parse_poly("x0^3 + 2*x1*x2*x3 - x4^2*x0", ring)
+    a, f = c * (x[1] + x[2]), c * (x[3] - x[0])
+    assert not is_nzd_mod(f, Ideal(ring, [a]))
+    assert not _nzd_by_quotient(f, Ideal(ring, [a]))
+
+    def refuse(I):
+        raise AssertionError("codimension ran on a certified pair")
+
+    monkeypatch.setattr(bc, "codimension", refuse)
+    assert is_nzd_mod(c * x[3] + x[1] ** 3, Ideal(ring, [a]))
+
+
 def _nzd_by_quotient(f, I):
     """The earlier nonzerodivisor test: (I : f) = I."""
     return ideal_equal(ideal_quotient(I, f), I)

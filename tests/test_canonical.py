@@ -38,11 +38,11 @@ from symcanon.ideals import (
 )
 from symcanon import canonical, ideals, linalg, poly, tableau
 from symcanon.paramgen import realize, sample
-from symcanon.poly import PolyRing, graded_basis, graded_piece, parse_poly
+from symcanon.poly import PolyRing, coprime_on_a_line, graded_basis, graded_piece, parse_poly
 from symcanon.serialize import render_report
 from symcanon.tableau import Minors, SymmetricTableau, check_symmetry, degeneracy_scheme, fitting_ideal
 
-from conftest import GOLDEN_SEEDS, adjugate, coeff_matrix, k2_10_fixture, matmul_poly, matrix_minor, random_linear
+from conftest import GOLDEN_SEEDS, Q_SEEDS, adjugate, coeff_matrix, k2_10_fixture, matmul_poly, matrix_minor, random_linear
 
 
 def test_resolution_shapes_and_composite(golden_tableau):
@@ -85,12 +85,71 @@ def test_acyclicity_golden(golden_tableau):
     assert rep.rank_ok
 
 
+def _alpha_is_beta(T):
+    # alpha = beta keeps the symmetry; I_{n+1}(A) is principal
+    return SymmetricTableau(T.ring, T.alpha, [row[:] for row in T.alpha])
+
+
+def _symmetry_broken(T):
+    # a block edited after construction: no longer symmetric
+    T = copy.deepcopy(T)
+    T.alpha[1][1] = T.alpha[1][1] + T.ring.gens()[0]
+    return T
+
+
 def test_acyclicity_honours_the_groebner_budget(golden_tableau, monkeypatch):
-    # the codimension runs of the grade condition read the module budget
-    R = build_resolution(golden_tableau)
+    # the certificate runs no Buchberger; the codimension run of the
+    # fallback reads the module budget.  The alpha = beta mutant takes the
+    # fallback too, but its I_3(A) is principal (every nonzero maximal minor
+    # is +-det alpha), so its run forms no S-pair and meets no budget
     monkeypatch.setattr(ideals, "DEGREE_BUDGET", 2)
+    assert acyclicity_check(build_resolution(golden_tableau), symmetric=True).passed
+    assert acyclicity_check(build_resolution(_alpha_is_beta(golden_tableau)), symmetric=True).codim == 1
     with pytest.raises(BudgetExceededError):
-        acyclicity_check(R)
+        acyclicity_check(build_resolution(_symmetry_broken(golden_tableau)), symmetric=False)
+
+
+def _pool_tableau(golden_tableaux, case):
+    kind, _, seed = case.partition("-")
+    if kind == "gf":
+        return golden_tableaux[GOLDEN_SEEDS.index(int(seed))]
+    if kind == "q":
+        return realize(sample(int(seed), QQ))
+    if kind == "k2_10":
+        return k2_10_fixture(GF(DEFAULT_PRIME) if seed == "gf" else QQ)
+    return _alpha_is_beta(golden_tableaux[0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"gf-{s}" for s in GOLDEN_SEEDS] + [f"q-{s}" for s in Q_SEEDS] + ["k2_10-gf", "k2_10-q", "alpha_is_beta"],
+)
+def test_grade_certificate_agrees_with_codimension(golden_tableaux, case):
+    # the line certificate against Buchberger's codimension of the
+    # built I_{n+1}(A), on every verify pool input, the K2 = 10 fixture over
+    # both fields and the alpha = beta mutant
+    T = _pool_tableau(golden_tableaux, case)
+    R = build_resolution(T)
+    codim = codimension(fitting_ideal(Minors(T.full_matrix(), T.ring), T.n + 1))
+    line = coprime_on_a_line(T.full_matrix(), T.ring)
+    rep = acyclicity_check(R, symmetric=True)
+    assert (rep.rank_ok, rep.codim) == (True, codim)
+    if case == "alpha_is_beta":
+        assert line is None and codim == 1
+    else:
+        assert line is not None and codim == 2
+
+
+def test_grade_certificate_needs_the_symmetry_verdict(golden_tableau):
+    # without symmetry a certified grade does not make the codimension 2:
+    # this tableau's minors are coprime on a line, and the codimension is 3,
+    # from Buchberger
+    T = _symmetry_broken(golden_tableau)
+    assert not check_symmetry(T.alpha, T.beta, T.ring)[0]
+    assert coprime_on_a_line(T.full_matrix(), T.ring) is not None
+    rep = acyclicity_check(build_resolution(T))
+    assert (rep.rank_ok, rep.codim) == (True, 3)
+    assert verify_instance(T).checks["acyclicity"].detail == "codim I_3(A) = 3, second map 3"
 
 
 def test_acyclicity_alpha_equals_beta_fails(golden_tableau):
@@ -162,10 +221,12 @@ def test_acyclicity_matches_each_maps_own_fitting_ideal(golden_tableaux, case):
         assert codim1 == 2
 
 
-def test_verify_builds_the_surface_fitting_ideal_once(Fp, monkeypatch):
+def test_verify_builds_no_surface_fitting_ideal(Fp, monkeypatch):
     # a freshly realized tableau, as a session fixture may hold a filled
-    # table: one I_{n+1}(A), each minor expanded once, at most 308
-    # polynomial products (368 when each check formed its own minors)
+    # table: the grade of I_{n+1}(A) is certified on a line, so a passing
+    # verify builds none of its minors; each other minor is expanded once,
+    # at most 98 polynomial products (308 with I_{n+1}(A) built, 368 when
+    # each check formed its own minors)
     T = realize(sample(GOLDEN_SEEDS[0], Fp))
     sizes, keys, products = [], [], []
     build = canonical.fitting_ideal
@@ -188,9 +249,10 @@ def test_verify_builds_the_surface_fitting_ideal_once(Fp, monkeypatch):
     monkeypatch.setattr(tableau.Minors, "_expand", counted_expand)
     monkeypatch.setattr(poly.Polynomial, "__mul__", counted_mul)
     assert verify_instance(T).overall
-    assert sizes.count(T.n + 1) == 1
+    assert sizes.count(T.n + 1) == 0
     assert keys and len(keys) == len(set(keys))
-    assert len(products) <= 308
+    assert all(len(rows) <= T.n for rows, _ in keys)
+    assert len(products) <= 98
 
 
 def test_verify_reports_a_tableau_edited_after_construction(golden_tableau):

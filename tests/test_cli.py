@@ -218,6 +218,8 @@ BAD_SETTINGS = {
     "seed_env": ([], {"SYMCANON_SEED": "abc"}, None, None),
     "seed_file": ([], {}, json.dumps({"seed": "x"}), None),
     "file_not_object": ([], {}, json.dumps("fieldx"), None),
+    "unknown_file_key": ([], {}, json.dumps({"sed": 3}), None),
+    "removed_budget_env": ([], {"SYMCANON_DEGREE_BUDGET": "1"}, None, None),
     "superscript_exponent": ([], {}, None, _edited_entry("x0^\u00b2")),
     "long_coefficient": ([], {}, None, _edited_entry(HUGE + "*x0")),
     "long_json_integer": ([], {}, None, lambda data: dumps(data)[:-2] + ', "x": ' + HUGE + "}"),

@@ -6,17 +6,21 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symcanon import univariate
 from symcanon.errors import ContractError, DegreeOverflowError, ParseError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
-from symcanon.linalg import rank
+from symcanon.linalg import nullspace, rank
 from symcanon.poly import (
+    CERTIFICATE_LINES,
     PolyRing,
     Polynomial,
+    coprime_on_a_line,
     graded_basis,
     graded_piece,
     parse_poly,
     poly_matmul,
     poly_to_string,
+    restrict_to_line,
 )
 
 from conftest import coeff_matrix, matmul_poly, random_homogeneous, random_linear, row_coefficients
@@ -196,3 +200,61 @@ def test_linear_rows_match_earlier_coefficients(field):
     rng = DetRng(6)
     row = [random_linear(ring, rng) for _ in range(5)] + [ring.zero()]
     assert graded_piece(row, 1, ring, 0).tolist() == row_coefficients(row, ring)
+
+
+# -- grade certificates on a line ------------------------------------------------
+
+
+def test_restrict_to_line_is_the_form_on_the_line(R):
+    f = P("x0^2*x1 - 3*x2^3 + x3*x4^2", R)
+    line = CERTIFICATE_LINES[0]
+    g = restrict_to_line(f, line)
+    assert len(g) == 4
+    for t in range(-2, 3):
+        point = [a + t * b for a, b in zip(*line)]
+        assert univariate.evaluate(g, Fraction(t), QQ) == f.evaluate(point)
+    assert g[-1] == f.evaluate(line[1])  # the top coefficient is f at q
+    assert restrict_to_line(R.zero(), line) == []
+
+
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=["Q", "GF"])
+def test_coprime_on_a_line_certifies_coprime_minors(field):
+    ring = PolyRing(field=field)
+    x = ring.gens()
+    assert coprime_on_a_line([[x[0], x[1]]], ring) == CERTIFICATE_LINES[0]
+    # the twisted cubic: its 2x2 minors generate an ideal of codimension 2
+    assert coprime_on_a_line([[x[0], x[1], x[2]], [x[1], x[2], x[3]]], ring) is not None
+
+
+@pytest.mark.parametrize("factor", ["x4", "x0^3 + 2*x1*x2*x3 - x4^2*x0"])
+def test_coprime_on_a_line_refuses_a_common_factor(factor):
+    ring = PolyRing(field=GF(DEFAULT_PRIME))
+    x = ring.gens()
+    h = P(factor, ring)
+    assert coprime_on_a_line([[h * x[0], h * (x[1] + x[2])]], ring) is None
+    # a common factor of the maximal minors, not of the entries
+    assert coprime_on_a_line([[h * x[0], h * x[1], h * x[2]], [x[1], x[2], x[3]]], ring) is None
+
+
+def test_coprime_on_a_line_needs_a_minor_alive_at_q(R):
+    # h vanishes at the point q of every line and is constant on each: the
+    # forms h*x0 and h*x1 restrict to coprime forms, and only their top
+    # coefficients, all zero, show the common factor
+    qs = [list(map(Fraction, q)) for _, q in CERTIFICATE_LINES]
+    a, b = nullspace(qs, QQ)
+    h = next(
+        R.linear_form(c)
+        for c in (a, b, [u + v for u, v in zip(a, b)])
+        if all(R.linear_form(c).evaluate(p) != 0 for p, _ in CERTIFICATE_LINES)
+    )
+    forms = [h * R.variable(0), h * R.variable(1)]
+    restricted = [restrict_to_line(f, CERTIFICATE_LINES[0]) for f in forms]
+    assert univariate.gcd(*restricted, QQ) == [1]
+    assert all(g[-1] == 0 for g in restricted)
+    assert coprime_on_a_line([forms], R) is None
+
+
+def test_coprime_on_a_line_outside_five_variables():
+    ring = PolyRing(("x", "y"), QQ)
+    assert coprime_on_a_line([ring.gens()], ring) is None
+    assert coprime_on_a_line([], PolyRing(field=QQ)) is None
