@@ -40,7 +40,6 @@ from .tableau import (
     Minors,
     PolyMatrix,
     SymmetricTableau,
-    check_symmetry,
     degeneracy_scheme,
     fitting_ideal,
 )
@@ -179,8 +178,8 @@ def acyclicity_check(R: GradedResolution, symmetric: bool = False) -> Acyclicity
     and one Fitting ideal I_{n+1}(A) serves both.  A map has rank n+1 iff
     that ideal is nonzero; its nonzero minors are the rank certificates.
 
-    ``symmetric`` is the verdict of check_symmetry on the tableau.  When it
-    holds and the maximal minors have no common factor on a line
+    ``symmetric`` is the tableau's symmetry verdict (``T.symmetry()``).
+    When it holds and the maximal minors have no common factor on a line
     (coprime_on_a_line), the complex is exact: then the cokernel B has the
     twists' Hilbert polynomial, so dim B = 3, and I_{n+1}(A), which has the
     radical of ann B, has codimension exactly 2.  Otherwise the codimension
@@ -620,7 +619,7 @@ def verify_instance(T: SymmetricTableau) -> VerificationReport:
     inv = invariants(resolution)
 
     checks: Dict[str, CheckResult] = {}
-    ok, where = check_symmetry(T.alpha, T.beta, T.ring)
+    ok, where = T.symmetry()
     checks["symmetry"] = CheckResult("pass" if ok else "fail", "" if ok else f"fails at {where}")
 
     acyc = acyclicity_check(resolution, symmetric=ok)

@@ -550,7 +550,7 @@ def poly_matmul(
     return out
 
 
-# -- grade certificates on a line ------------------------------------------------
+# -- minors of forms on a line; grade certificates ---------------------------------
 
 # Lines p + t*q of P^4 tried by coprime_on_a_line, in order: small integer
 # points, fixed, with no seed.
@@ -583,9 +583,9 @@ def _padded(f: univariate.Coeffs, length: int, field: FieldSpec) -> univariate.C
 
 
 def _line_minor(M, r: int, cols: Tuple[int, ...], memo: dict, field: FieldSpec) -> univariate.Coeffs:
-    """The minor of the restricted matrix M on rows r.. and ``cols``, by
-    expansion along row r.  Lengths are degree bounds, as for restrictions:
-    a product of lengths a and b has length a + b - 1."""
+    """The minor of the matrix M of binary forms on rows r.. and ``cols``,
+    by expansion along row r.  Lengths are degree bounds, as for
+    restrictions: a product of lengths a and b has length a + b - 1."""
     if r == len(M):
         return [field.one()]
     key = (r, cols)
@@ -603,6 +603,32 @@ def _line_minor(M, r: int, cols: Tuple[int, ...], memo: dict, field: FieldSpec) 
     return memo[key]
 
 
+def binary_minors_gcd(M, field: FieldSpec) -> univariate.Coeffs:
+    """The gcd of the maximal minors of a matrix of binary forms, or [] when
+    every minor is zero.
+
+    A binary form of degree d in (s, t) is its d + 1 coefficients, ascending
+    in t, so its zero top entries are the power of s it carries.  The gcd is
+    that of the nonzero minors' coefficient lists, then as many zero entries
+    as the fewest any nonzero minor ends in.  The fold stops at a nonzero
+    constant, which no further minor changes.
+    """
+    memo: dict = {}
+    common: univariate.Coeffs = []
+    s_power: Optional[int] = None
+    for cols in combinations(range(len(M[0])), len(M)):
+        minor = _line_minor(M, 0, cols, memo, field)
+        trimmed = univariate.trim(minor, field)
+        if not trimmed:
+            continue
+        common = univariate.gcd(common, trimmed, field)
+        zeros = len(minor) - len(trimmed)
+        s_power = zeros if s_power is None else min(s_power, zeros)
+        if len(common) == 1 and s_power == 0:
+            break
+    return [] if s_power is None else common + [field.zero()] * s_power
+
+
 def coprime_on_a_line(matrix: Sequence[Sequence[Polynomial]], ring: PolyRing) -> Optional[Line]:
     """A line of CERTIFICATE_LINES on which the maximal minors of ``matrix``
     have no common factor, or None.  A list of forms is the one-row matrix
@@ -611,23 +637,16 @@ def coprime_on_a_line(matrix: Sequence[Sequence[Polynomial]], ring: PolyRing) ->
     A common factor h of the minors restricts on the line to a common factor
     of the restricted minors, unless h is constant there, which makes its top
     part vanish at q and so the top part of every minor.  So when the
-    restrictions have gcd 1 and one minor's top part is nonzero at q, the
-    minors have no common factor: R is factorial, so the ideal they generate
-    has grade >= 2.  The minors are those of the restricted matrix, and are
-    never formed in R.  A line that certifies nothing proves nothing.
+    restricted minors, read as binary forms, have a constant gcd (gcd 1 in t,
+    and one minor's top part nonzero at q), the minors have no common
+    factor: R is factorial, so the ideal they generate has grade >= 2.  The
+    minors are those of the restricted matrix, and are never formed in R.
+    A line that certifies nothing proves nothing.
     """
     if not matrix or ring.nvars != len(CERTIFICATE_LINES[0][0]):
         return None
-    field = ring.field
     for line in CERTIFICATE_LINES:
         M = [[restrict_to_line(f, line) for f in row] for row in matrix]
-        memo: dict = {}
-        common: univariate.Coeffs = []
-        top_at_q = False
-        for cols in combinations(range(len(M[0])), len(M)):
-            minor = _line_minor(M, 0, cols, memo, field)
-            common = univariate.gcd(common, minor, field)
-            top_at_q = top_at_q or bool(minor) and not field.is_zero(minor[-1])
-            if top_at_q and len(common) == 1:
-                return line
+        if len(binary_minors_gcd(M, ring.field)) == 1:
+            return line
     return None

@@ -100,6 +100,7 @@ class SymmetricTableau:
         self.alpha = [list(r) for r in alpha]
         self.beta = [list(r) for r in beta]
         self._minors: Optional[Minors] = None
+        self._symmetry = (self.full_matrix(), (ok, where))
 
     # -- views ---------------------------------------------------------------
 
@@ -118,6 +119,15 @@ class SymmetricTableau:
         if self._minors is None or self._minors.matrix != full:
             self._minors = Minors(full, self.ring)
         return self._minors
+
+    def symmetry(self) -> Tuple[bool, Optional[Tuple[int, int]]]:
+        """check_symmetry of the blocks, kept with the matrix it judged and
+        rerun only when the blocks no longer give that matrix (they can be
+        edited in place); the constructor's verdict serves until then."""
+        full = self.full_matrix()
+        if self._symmetry[0] != full:
+            self._symmetry = (full, check_symmetry(self.alpha, self.beta, self.ring))
+        return self._symmetry[1]
 
     def row(self, i: int) -> List[Polynomial]:
         return self.alpha[i] + self.beta[i]

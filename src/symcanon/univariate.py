@@ -1,8 +1,9 @@
 """Univariate helpers over an exact field: gcd, squarefree parts, roots.
 
 Polynomials are coefficient lists in ascending order.  These back the
-eliminant-based radicality test and the direction search of the K2=11
-reduction; nothing here touches the multivariate machinery.
+eliminant-based radicality test and the gcd of ``poly``'s minors of forms on
+a line (the grade certificate, the K2=11 direction search); nothing here
+touches the multivariate machinery.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ def powmod(base: Coeffs, e: int, mod: Coeffs, field: FieldSpec) -> Coeffs:
 
 
 def roots(f: Coeffs, field: FieldSpec, seed: int = 0) -> List[Scalar]:
-    """All roots in the field, each listed once, deterministic order.
+    """All roots in the field, each listed once, in ascending order (as
+    integers 0..p-1 over GF(p), as rationals over Q).
 
     Over GF(p) this splits off the product of linear factors with
     x^p - x and then separates roots by seeded quadratic-residue

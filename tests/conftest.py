@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
-from symcanon import linalg
+from symcanon import linalg, univariate
 from symcanon.errors import ContractError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
@@ -318,3 +321,29 @@ def iterated_saturation(I, J=None):
         if ideal_equal(nxt, current):
             return current
         current = nxt
+
+
+def special_directions_by_interpolation(pencil_matrix, field):
+    """The earlier direction search: each 5x5 minor of the pencil C1 + t C2,
+    a quintic in t, Lagrange-interpolated from its values at t = 0..5; the
+    roots of their gcd, and [0:1] by a rank test.  Characteristic 0 or >= 7."""
+    points = [field.of_int(i) for i in range(6)]
+    g = []
+    for rows_sel in combinations(range(6), 5):
+        values = [linalg.det([pencil_matrix(field.one(), t)[r] for r in rows_sel], field) for t in points]
+        quintic = []
+        for i, (xi, yi) in enumerate(zip(points, values)):
+            basis, denom = [field.one()], field.one()
+            for j, xj in enumerate(points):
+                if j != i:
+                    basis = univariate.mul(basis, [field.neg(xj), field.one()], field)
+                    denom = field.mul(denom, field.sub(xi, xj))
+            quintic = univariate.add(quintic, univariate.scale(basis, field.div(yi, denom), field), field)
+        g = univariate.gcd(g, quintic, field) if g else univariate.trim(quintic, field)
+    if not g:
+        raise ContractError("row pencil degenerates identically; not a valid instance")
+    roots = [(field.one(), t) for t in univariate.roots(g, field)] if univariate.degree(g) >= 1 else []
+    if linalg.rank(pencil_matrix(field.zero(), field.one()), field) <= 4:
+        roots.append((field.zero(), field.one()))
+    # [0:1] first, then [1:t] by ascending t
+    return sorted(roots, key=lambda d: (not field.is_zero(d[0]), Fraction(d[1])))

@@ -39,7 +39,7 @@ from symcanon.ideals import (
 from symcanon import canonical, ideals, linalg, poly, tableau
 from symcanon.paramgen import realize, sample
 from symcanon.poly import PolyRing, coprime_on_a_line, graded_basis, graded_piece, parse_poly
-from symcanon.serialize import render_report
+from symcanon.serialize import render_report, tableau_from_json, tableau_to_json
 from symcanon.tableau import Minors, SymmetricTableau, check_symmetry, degeneracy_scheme, fitting_ideal
 
 from conftest import GOLDEN_SEEDS, Q_SEEDS, adjugate, coeff_matrix, k2_10_fixture, matmul_poly, matrix_minor, random_linear
@@ -253,6 +253,25 @@ def test_verify_builds_no_surface_fitting_ideal(Fp, monkeypatch):
     assert keys and len(keys) == len(set(keys))
     assert all(len(rows) <= T.n for rows, _ in keys)
     assert len(products) <= 98
+
+
+def test_verify_checks_the_symmetry_once_per_tableau(golden_tableau, monkeypatch):
+    # the constructor's verdict serves verify; an edit in place is judged
+    # afresh, and only once
+    calls = []
+    check = tableau.check_symmetry
+
+    def counted(alpha, beta, ring):
+        calls.append(1)
+        return check(alpha, beta, ring)
+
+    monkeypatch.setattr(tableau, "check_symmetry", counted)
+    T = tableau_from_json(tableau_to_json(golden_tableau))
+    assert verify_instance(T).checks["symmetry"].status == "pass"
+    assert len(calls) == 1
+    T.beta[2][0] = T.beta[2][0] + T.ring.gens()[1]
+    assert T.symmetry() == T.symmetry() == check(T.alpha, T.beta, T.ring)
+    assert not T.symmetry()[0] and len(calls) == 2
 
 
 def test_verify_reports_a_tableau_edited_after_construction(golden_tableau):

@@ -12,6 +12,8 @@ from symcanon.ideals import ideal_equal
 from symcanon.normalform import (
     NormalFormK11,
     OrbitClass,
+    _row_pencil,
+    _special_directions,
     factor_symplectic,
     reduce_k11,
     scalar_orbit_reduce,
@@ -25,10 +27,11 @@ from symcanon.tableau import (
     SymmetricTableau,
     apply_op_word,
     degeneracy_scheme,
+    rows_move,
 )
 from symcanon.serialize import dumps, moves_to_json, tableau_to_json
 
-from conftest import oracle_word_matrix, random_move_word
+from conftest import GOLDEN_SEEDS, oracle_word_matrix, random_move_word, special_directions_by_interpolation
 
 
 # -- scalar orbits ---------------------------------------------------------------
@@ -316,3 +319,112 @@ def test_reduce_k11_pinned_outputs(name, seed):
         text = dumps(tableau_to_json(nf.tableau)) + dumps(moves_to_json(nf.witness_moves, field))
         digests.append(hashlib.sha256(text.encode()).hexdigest())
     assert tuple(digests) == REDUCE_PINS[name, seed]
+
+
+# -- the direction search ------------------------------------------------------------
+
+
+def _pencil(C1, C2, field):
+    """[u1:u2] -> u1*C1 + u2*C2, as _row_pencil builds it."""
+    return lambda u1, u2: [
+        [field.add(field.mul(u1, a), field.mul(u2, b)) for a, b in zip(r1, r2)] for r1, r2 in zip(C1, C2)
+    ]
+
+
+def _planted_pencil(rng, p):
+    """A random 6x5 pencil over GF(p) whose generalized rows have a kernel
+    at up to three random points of P^1, [0:1] among them as often as any."""
+    field = GF(p)
+    planted = [(1, rng.randint(0, p - 1)) if rng.randint(0, p) else (0, 1) for _ in range(rng.randint(0, 3))]
+    kernels = [[rng.scalar(field) for _ in range(5)] for _ in planted]
+    C1, C2 = [], []
+    for _ in range(6):
+        # a*(C1[r] . v) + b*(C2[r] . v) = 0 for each planted (a, b) and v
+        constraints = [[a * c % p for c in v] + [b * c % p for c in v] for (a, b), v in zip(planted, kernels)]
+        basis = linalg.nullspace(constraints, field, ncols=10) if constraints else linalg.identity(10, field)
+        row = [0] * 10
+        for vec in basis:
+            lam = rng.scalar(field)
+            row = [(x + lam * y) % p for x, y in zip(row, vec)]
+        C1.append(row[:5])
+        C2.append(row[5:])
+    return C1, C2
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_special_directions_match_brute_force(p):
+    # every point of P^1(GF(p)) whose generalized row has rank <= 4; all of
+    # them means every minor is zero (a nonzero quintic has at most 5 roots)
+    field = GF(p)
+    rng = DetRng(900 + p)
+    points = [(0, 1)] + [(1, t) for t in range(p)]
+    counts = {}
+    for _ in range(120):
+        C1, C2 = _planted_pencil(rng, p)
+        pencil = _pencil(C1, C2, field)
+        expected = [d for d in points if linalg.rank(pencil(*d), field) <= 4]
+        if expected == points:
+            with pytest.raises(ContractError, match="degenerates identically"):
+                _special_directions(pencil, field)
+            continue
+        assert _special_directions(pencil, field) == expected
+        key = (len(expected), (0, 1) in expected)
+        counts[key] = counts.get(key, 0) + 1
+    # the corpus reaches no direction, several, and [0:1] alone and with others
+    assert {(0, False), (3, False), (1, True), (3, True)} <= set(counts)
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(7), QQ], ids=["GF5", "GF7", "Q"])
+def test_special_directions_at_infinity_only(field):
+    # rows 0..4 of C1 + t*C2 are I + t*N with N nilpotent, a minor equal to
+    # s^5: no affine root, while C2 has rank 4
+    one, zero = field.one(), field.zero()
+    C1 = [[one if i == j else zero for j in range(5)] for i in range(5)] + [[field.of_int(k) for k in range(1, 6)]]
+    C2 = [[one if j == i + 1 else zero for j in range(5)] for i in range(5)] + [[zero] * 5]
+    assert _special_directions(_pencil(C1, C2, field), field) == [(zero, one)]
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["GF5", "Q"])
+def test_special_directions_refuse_a_pencil_with_every_minor_zero(field):
+    # the last variable never appears: every generalized row has rank <= 4
+    rng = DetRng(31)
+    C1, C2 = ([[rng.scalar(field) for _ in range(4)] + [field.zero()] for _ in range(6)] for _ in range(2))
+    with pytest.raises(ContractError, match="degenerates identically"):
+        _special_directions(_pencil(C1, C2, field), field)
+
+
+def test_reduce_k11_over_gf5():
+    # the direction search has no characteristic bound of its own; GF(5),
+    # which six interpolation points excluded, reduces
+    field = GF(5)
+    T = realize(sample(0, field))
+    rng = DetRng(1700)
+    word = [rows_move([[1, 0, 0], [0, 1, 2], [0, 1, 1]])] + random_move_word(rng, 20, 3, field)
+    scrambled = apply_op_word(T, word)
+    nf = reduce_k11(scrambled)
+    assert verify_normal_shape(nf.tableau).ok
+    assert apply_op_word(scrambled, nf.witness_moves) == nf.tableau
+
+
+ORACLE_CASES = (
+    [("gf32003", s) for s in GOLDEN_SEEDS] + [("q", s) for s in (0, 2, 3)] + [("gf7", s) for s in (0, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("name, seed", ORACLE_CASES, ids=[f"{n}-{s}" for n, s in ORACLE_CASES])
+def test_special_directions_match_interpolation(name, seed):
+    # the realized tableau (directions [0:1], [1:0], [1:1]) and a random
+    # row change of it, which moves the directions off those three
+    field = FIELDS[name]
+    T = realize(sample(seed, field))
+    rng = DetRng(2300 + seed)
+    while True:
+        phi = [[field.of_int(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
+        if not field.is_zero(linalg.det(phi, field)):
+            break
+    g = [[field.one(), field.zero(), field.zero()]] + [[field.zero()] + r for r in phi]
+    for U in (T, apply_op_word(T, [rows_move(g)])):
+        pencil = _row_pencil(U)
+        directions = _special_directions(pencil, field)
+        assert directions == special_directions_by_interpolation(pencil, field)
+        assert len(directions) == 3

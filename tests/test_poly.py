@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symcanon import univariate
+from symcanon import poly, univariate
 from symcanon.errors import ContractError, DegreeOverflowError, ParseError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.linalg import nullspace, rank
@@ -14,6 +15,7 @@ from symcanon.poly import (
     CERTIFICATE_LINES,
     PolyRing,
     Polynomial,
+    binary_minors_gcd,
     coprime_on_a_line,
     graded_basis,
     graded_piece,
@@ -258,3 +260,90 @@ def test_coprime_on_a_line_outside_five_variables():
     ring = PolyRing(("x", "y"), QQ)
     assert coprime_on_a_line([ring.gens()], ring) is None
     assert coprime_on_a_line([], PolyRing(field=QQ)) is None
+
+
+# -- the gcd of minors of binary forms ---------------------------------------------
+# A binary form of degree d is its d + 1 coefficients ascending in t; in the
+# matrices below s = [1, 0], t = [0, 1] and h = t - 2s = [-2, 1].
+
+FIELDS = [QQ, GF(7)]
+FIELD_IDS = ["Q", "GF7"]
+
+
+def _forms(rows, field):
+    return [[[field.of_int(c) for c in f] for f in row] for row in rows]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_binary_minors_gcd_finds_a_common_linear_factor(field):
+    # minors h*s^2, h*s*t, h*t^2
+    M = _forms([[[-2, 1, 0], [0, -2, 1], []], [[], [1, 0], [0, 1]]], field)
+    assert binary_minors_gcd(M, field) == _forms([[[-2, 1]]], field)[0][0]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_binary_minors_gcd_keeps_a_common_power_of_s(field):
+    # minors s^3, s^2*t, s*t^2: every top entry is zero, the gcd in t is 1
+    M = _forms([[[1, 0, 0], [0, 1, 0], []], [[], [1, 0], [0, 1]]], field)
+    assert binary_minors_gcd(M, field) == [field.one(), field.zero()]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_binary_minors_gcd_of_one_row_is_the_gcd_of_its_entries(field):
+    # (t - s)(t - 2s), s(t - s) and the zero form
+    M = _forms([[[2, -3, 1], [-1, 1, 0], []]], field)
+    assert binary_minors_gcd(M, field) == _forms([[[-1, 1]]], field)[0][0]
+    # t^2 and s*t share t; s*t^2 and t^3 share t^2
+    assert binary_minors_gcd(_forms([[[0, 0, 1], [0, 1, 0]]], field), field) == [field.zero(), field.one()]
+    assert binary_minors_gcd(_forms([[[0, 0, 1, 0], [0, 0, 0, 1]]], field), field) == [field.zero(), field.zero(), field.one()]
+    assert binary_minors_gcd(_forms([[[], []]], field), field) == []
+
+
+def _full_fold(M, field):
+    """gcd of every nonzero maximal minor, then the fewest zero top entries."""
+    memo = {}
+    minors = [poly._line_minor(M, 0, cols, memo, field) for cols in combinations(range(len(M[0])), len(M))]
+    nonzero = [m for m in minors if univariate.trim(m, field)]
+    if not nonzero:
+        return []
+    common = []
+    for m in nonzero:
+        common = univariate.gcd(common, m, field)
+    return common + [field.zero()] * min(len(m) - len(univariate.trim(m, field)) for m in nonzero)
+
+
+def _times(h, f, field):
+    """h*f as a binary form of degree deg h + deg f; the zero form [] stays []."""
+    if not f:
+        return []
+    product = univariate.mul(h, f, field)
+    return product + [field.zero()] * (len(h) + len(f) - 1 - len(product))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_binary_minors_gcd_early_stop_agrees_with_the_full_fold(field, monkeypatch):
+    # random matrices of linear binary forms, a third of them with a row
+    # times t - 2s and a third times s; the fold stops early on some
+    rng = DetRng(41)
+    top_calls = []
+    line_minor = poly._line_minor
+
+    def counted(M, r, cols, memo, field):
+        if r == 0:
+            top_calls.append(cols)
+        return line_minor(M, r, cols, memo, field)
+
+    monkeypatch.setattr(poly, "_line_minor", counted)
+    factors = [None, [field.of_int(-2), field.one()], [field.one(), field.zero()]]
+    stopped = 0
+    for trial in range(60):
+        rows, cols = rng.randint(1, 3), rng.randint(3, 5)
+        M = [[[rng.scalar(field), rng.scalar(field)] if rng.randint(0, 5) else [] for _ in range(cols)] for _ in range(rows)]
+        h = factors[trial % 3]
+        if h:
+            M[0] = [_times(h, f, field) for f in M[0]]
+        top_calls.clear()
+        got = binary_minors_gcd(M, field)
+        stopped += len(top_calls) < comb(cols, rows)
+        assert got == _full_fold(M, field)
+    assert stopped
