@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import BudgetExceededError, ContractError
 from .fields import DetRng
 from .ideals import Ideal, codimension
-from .poly import Polynomial, PolyRing, coprime_on_a_line
+from .poly import Polynomial, PolyRing, coprime_on_a_line, dot
 from .tableau import (
     Minors,
     OpMove,
@@ -142,16 +142,15 @@ def plucker_residual(
     a_cols, b_cols, c_cols = (table.columns(sel) for sel in (a_cols, b_cols, c_cols))
     # each minor has its columns in the listed, possibly unsorted or
     # repeated, order
-    total = ring.zero()
+    firsts, seconds = [], []
     for chosen in combinations(range(s), t):
         chosen_set = set(chosen)
         rest = [i for i in range(s) if i not in chosen_set]
         inversions = sum(1 for i in chosen for j in rest if j < i)
         first = table(range(nrows), a_cols + tuple(c_cols[i] for i in chosen))
-        second = table(range(nrows), tuple(c_cols[i] for i in rest) + b_cols)
-        term = first * second
-        total = total + term if inversions % 2 == 0 else total - term
-    return total
+        firsts.append(first if inversions % 2 == 0 else -first)
+        seconds.append(table(range(nrows), tuple(c_cols[i] for i in rest) + b_cols))
+    return dot(firsts, seconds, ring)
 
 
 def is_nzd_mod(f: Polynomial, I: Ideal) -> bool:

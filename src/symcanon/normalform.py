@@ -30,7 +30,7 @@ from typing import Callable, List, Optional, Tuple
 from . import linalg, univariate
 from .errors import ContractError
 from .fields import FieldSpec, Scalar
-from .poly import PolyRing, binary_minors_gcd, graded_piece
+from .poly import PolyRing, binary_minors_gcd, dot, graded_piece
 from .tableau import (
     OpMove,
     ScalarTableau,
@@ -205,8 +205,8 @@ def verify_normal_shape(T: SymmetricTableau) -> ShapeReport:
     a2, a3 = aprime[0][1], aprime[0][2]
     b2, b3 = aprime[0][4], aprime[0][5]
     a4, b4 = aprime[1][0], aprime[1][3]
-    first = A2 * b2 + A3 * b3 - B2 * a2 - B3 * a3
-    second = A1 * b4 - A2 * b2 - B1 * a4 + B2 * a2
+    first = dot([A2, A3, -B2, -B3], [b2, b3, a2, a3], T.ring)
+    second = dot([A1, -A2, -B1, B2], [b4, b2, a4, a2], T.ring)
     if not first.is_zero():
         violations.append("cubic identity A2 b2 + A3 b3 - B2 a2 - B3 a3 != 0")
     if not second.is_zero():

@@ -3,10 +3,18 @@
 The default ring is k[x0..x4] with k the rationals or GF(p).  Terms live in
 a dict mapping exponent tuples to nonzero field scalars; the zero polynomial
 has an empty dict.  Values are never mutated after construction.
+
+``dot`` is the one sum-of-products kernel: ``*``, ``poly_matmul`` and the
+callers' symmetry dots, minors and cubic identities all go through it.
+Inside it a monomial is one int with 16-bit exponent fields, so a product
+of monomials is an int sum, and coefficients are summed with ints (GF(p))
+or Fractions (Q), with no field method call per term.
 """
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import comb
@@ -24,6 +32,8 @@ EXPONENT_BOUND = 1 << 15
 # products of larger total degree raise DegreeOverflowError; a product of
 # degree at most this bound has every exponent below EXPONENT_BOUND
 DEGREE_BOUND = 64
+# graded bases kept by graded_basis, one per (number of variables, degree)
+GRADED_BASIS_CACHE = 64
 
 
 class PolyRing:
@@ -142,49 +152,27 @@ class Polynomial:
             raise RingMismatchError("operands live in different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        """A term that cancels is deleted, and appended again if a later sum
+        brings it back; ``dot`` merges its products by the same rule."""
         self._check_ring(other)
-        field = self.ring.field
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = field.add(out.get(m, field.zero()), c)
-            if field.is_zero(s):
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, _merge(dict(self.terms), other.terms, self.ring.field))
 
     def __neg__(self) -> "Polynomial":
-        field = self.ring.field
-        return Polynomial(self.ring, {m: field.neg(c) for m, c in self.terms.items()})
+        return self.scale(self.ring.field.of_int(-1))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        ring = self.ring
-        field = ring.field
-        if not self.terms or not other.terms:
-            return ring.zero()
-        degree = self.degree() + other.degree()
-        if degree > DEGREE_BOUND:
-            raise DegreeOverflowError(f"product degree {degree} exceeds bound {DEGREE_BOUND}")
-        out: Dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = field.add(out.get(m, field.zero()), field.mul(c1, c2))
-                if field.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return Polynomial(ring, out)
+        return dot([self], [other], self.ring)
 
     def scale(self, c: Scalar) -> "Polynomial":
-        field = self.ring.field
-        if field.is_zero(c):
+        if not c:
             return self.ring.zero()
-        return Polynomial(self.ring, {m: field.mul(c, v) for m, v in self.terms.items()})
+        p = self.ring.field.characteristic
+        if p:
+            return Polynomial(self.ring, {m: c * v % p for m, v in self.terms.items()})
+        return Polynomial(self.ring, {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -297,6 +285,76 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{poly_to_string(self)}>"
+
+
+# -- sums of products -------------------------------------------------------------
+
+
+def _merge(total: dict, terms: dict, field: FieldSpec) -> dict:
+    """Add ``terms`` into ``total`` in place, as ``+`` does: a sum that
+    cancels deletes its term, which a later sum appends again."""
+    p, zero = field.characteristic, field.zero()
+    get = total.get
+    for m, c in terms.items():
+        s = get(m, zero) + c
+        if p:
+            s %= p
+        if s:
+            total[m] = s
+        else:
+            total.pop(m, None)
+    return total
+
+
+def dot(us: Sequence[Polynomial], vs: Sequence[Polynomial], ring: PolyRing) -> Polynomial:
+    """The sum of the products us[k] * vs[k] in ``ring``, starting from zero.
+
+    Each product is checked in turn, before any packing: both factors lie in
+    ``ring`` (RingMismatchError), a zero factor drops it, and its degree is
+    at most DEGREE_BOUND (DegreeOverflowError).  A monomial is then one int
+    with 16-bit exponent fields; exponents of a product of degree at most
+    DEGREE_BOUND stay below 2^16, so no field carries and multiplying
+    monomials adds ints.  Pair sums and the running sum follow the rule of
+    ``+``: a sum that cancels deletes its term, which a later sum appends
+    again.  So the result has the terms, in the same order, of the products
+    formed pair by pair and added one at a time.  (Summing a product's
+    pairs unreduced and reducing once per term is no faster here, and
+    moves a term whose partial sum cancels.)
+    """
+    if len(us) != len(vs):
+        raise ContractError(f"dot of {len(us)} and {len(vs)} factors")
+    factors = []
+    for f, g in zip(us, vs):
+        if (f.ring is not ring and f.ring != ring) or (g.ring is not ring and g.ring != ring):
+            raise RingMismatchError("operands live in different rings")
+        if not f.terms or not g.terms:
+            continue
+        degree = f.degree() + g.degree()
+        if degree > DEGREE_BOUND:
+            raise DegreeOverflowError(f"product degree {degree} exceeds bound {DEGREE_BOUND}")
+        factors.append((f.terms, g.terms))
+    field = ring.field
+    p, zero = field.characteristic, field.zero()
+    layout = struct.Struct(f"<{ring.nvars}H")  # little-endian 16-bit exponent fields
+    pack, unpack, width = layout.pack, layout.unpack, layout.size
+    total: dict = {}
+    for f_terms, g_terms in factors:
+        g_packed = [(int.from_bytes(pack(*m), "little"), c) for m, c in g_terms.items()]
+        product: dict = {}
+        get, pop = product.get, product.pop
+        for m1, c1 in f_terms.items():
+            k1 = int.from_bytes(pack(*m1), "little")
+            for k2, c2 in g_packed:
+                k = k1 + k2
+                s = get(k, zero) + c1 * c2
+                if p:
+                    s %= p
+                if s:
+                    product[k] = s
+                else:
+                    pop(k, None)
+        total = _merge(total, product, field) if total else product
+    return Polynomial(ring, {unpack(k.to_bytes(width, "little")): c for k, c in total.items()})
 
 
 # -- canonical text form ----------------------------------------------------
@@ -448,14 +506,19 @@ def parse_poly(text: str, ring: PolyRing) -> Polynomial:
 # -- graded pieces ------------------------------------------------------------
 
 
-def graded_basis(ring: PolyRing, d: int) -> List[Monomial]:
+def graded_basis(ring: PolyRing, d: int) -> Tuple[Monomial, ...]:
     """All monomials of total degree d, grevlex-descending.
 
-    Count is C(d + v - 1, v - 1) for v variables.
+    Count is C(d + v - 1, v - 1) for v variables.  The tuple is shared by
+    every caller asking for the same number of variables and degree.
     """
     if d < 0:
         raise ContractError("degree must be non-negative")
-    v = ring.nvars
+    return _graded_basis(ring.nvars, d)
+
+
+@lru_cache(maxsize=GRADED_BASIS_CACHE)
+def _graded_basis(v: int, d: int) -> Tuple[Monomial, ...]:
     out: List[Monomial] = []
 
     def rec(prefix: List[int], remaining: int, i: int):
@@ -468,7 +531,7 @@ def graded_basis(ring: PolyRing, d: int) -> List[Monomial]:
     rec([], d, 0)
     out.sort(key=GREVLEX.key, reverse=True)
     assert len(out) == comb(d + v - 1, v - 1)
-    return out
+    return tuple(out)
 
 
 def graded_piece(
@@ -534,20 +597,12 @@ def graded_map(
 def poly_matmul(
     a: Sequence[Sequence[Polynomial]], b: Sequence[Sequence[Polynomial]], ring: PolyRing
 ) -> List[List[Polynomial]]:
-    """The matrix product a * b; each entry sums a[i][k] * b[k][j] in
-    increasing k, starting from zero."""
+    """The matrix product a * b; each entry is the dot of a row of a and a
+    column of b, summed in increasing k from zero."""
     if any(len(row) != len(b) for row in a):
         raise ContractError("matrix product: inner dimensions differ")
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            s = ring.zero()
-            for k in range(len(b)):
-                s = s + row[k] * b[k][j]
-            out_row.append(s)
-        out.append(out_row)
-    return out
+    cols = list(zip(*b))
+    return [[dot(row, col, ring) for col in cols] for row in a]
 
 
 # -- minors of forms on a line; grade certificates ---------------------------------

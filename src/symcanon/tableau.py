@@ -14,7 +14,6 @@ its symplectic scalar matrix is that action on the identity.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
@@ -28,7 +27,7 @@ from .ideals import (
     dimension,
     saturate,
 )
-from .poly import Polynomial, PolyRing
+from .poly import Polynomial, PolyRing, dot
 
 PolyMatrix = List[List[Polynomial]]
 
@@ -54,7 +53,7 @@ def check_symmetry(
     row-major order, 1-based.  Degree layout is not examined here, so scalar
     toys can be checked too.
     """
-    where = _first_asymmetry(alpha, beta, lambda u, v: sum(map(operator.mul, u, v), ring.zero()))
+    where = _first_asymmetry(alpha, beta, lambda u, v: dot(u, v, ring))
     return where is None, where
 
 
@@ -313,15 +312,18 @@ def _invertible(g: List[List[Scalar]], field) -> List[List[Scalar]]:
 def _combination(coeffs: Sequence[Scalar], polys: Sequence[Polynomial], ring: PolyRing) -> Polynomial:
     """sum_k coeffs[k] * polys[k], skipping zero coefficients and entries."""
     field = ring.field
-    pairs = [(c, f) for c, f in zip(coeffs, polys) if not field.is_zero(c) and f.terms]
+    pairs = [(c, f) for c, f in zip(coeffs, polys) if c and f.terms]
     if len(pairs) == 1 and pairs[0][0] == field.one():
         return pairs[0][1]
-    zero = field.zero()
+    p, zero = field.characteristic, field.zero()
     out: dict = {}
+    get = out.get
     for c, f in pairs:
         for m, v in f.terms.items():
-            out[m] = field.add(out.get(m, zero), field.mul(c, v))
-    return Polynomial(ring, {m: v for m, v in out.items() if not field.is_zero(v)})
+            out[m] = get(m, zero) + c * v
+    if p:
+        return Polynomial(ring, {m: r for m, v in out.items() if (r := v % p)})
+    return Polynomial(ring, {m: v for m, v in out.items() if v})
 
 
 def act_on_blocks(T, G: Optional[List[List[Scalar]]], S: List[List[Scalar]]):
@@ -419,13 +421,13 @@ class Minors:
         head = self.matrix[rows[0]]
         if len(rows) == 1:
             return head[cols[0]]
-        result = self.ring.zero()
+        heads, subs = [], []
         for pos, c in enumerate(cols):
             if head[c].is_zero():
                 continue
-            term = head[c] * self(rows[1:], cols[:pos] + cols[pos + 1 :])
-            result = result + term if pos % 2 == 0 else result - term
-        return result
+            heads.append(head[c] if pos % 2 == 0 else -head[c])
+            subs.append(self(rows[1:], cols[:pos] + cols[pos + 1 :]))
+        return dot(heads, subs, self.ring)
 
 
 def fitting_ideal(minors: Minors, k: int, rows: Optional[Sequence[int]] = None) -> Ideal:

@@ -20,7 +20,7 @@ from symcanon.ideals import (
 from symcanon.koszul import RegularSequence, solve_skew
 from symcanon.orders import GREVLEX, monomial_divides
 from symcanon.paramgen import realize, sample
-from symcanon.poly import PolyRing, graded_basis
+from symcanon.poly import PolyRing, Polynomial, graded_basis
 from symcanon.tableau import OpMove, SymmetricTableau
 
 GOLDEN_SEEDS = (0, 1, 2, 3, 5, 7)
@@ -213,6 +213,44 @@ def row_coefficients(row, ring):
         [f.coefficient(tuple(int(k == i) for k in range(ring.nvars))) for i in range(ring.nvars)]
         for f in row
     ]
+
+
+def seed_add(f, g):
+    """The earlier ``Polynomial.__add__``: field methods per term; a term
+    whose sum cancels is deleted, and appended again if it comes back."""
+    field = f.ring.field
+    out = dict(f.terms)
+    for m, c in g.terms.items():
+        s = field.add(out.get(m, field.zero()), c)
+        if field.is_zero(s):
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return Polynomial(f.ring, out)
+
+
+def seed_product(f, g):
+    """The earlier ``Polynomial.__mul__`` loop: an exponent tuple and field
+    method calls per pair of terms, each pair summed as ``seed_add`` does."""
+    field = f.ring.field
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            s = field.add(out.get(m, field.zero()), field.mul(c1, c2))
+            if field.is_zero(s):
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return Polynomial(f.ring, out)
+
+
+def seed_dot(us, vs, ring):
+    """sum_k us[k] * vs[k] from zero, one earlier product and sum at a time."""
+    total = ring.zero()
+    for f, g in zip(us, vs):
+        total = seed_add(total, seed_product(f, g))
+    return total
 
 
 def matmul_poly(a, b, ring):

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symcanon import poly, univariate
+from symcanon import basechange, normalform, poly, tableau, univariate
 from symcanon.errors import ContractError, DegreeOverflowError, ParseError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.linalg import nullspace, rank
@@ -25,7 +25,16 @@ from symcanon.poly import (
     restrict_to_line,
 )
 
-from conftest import coeff_matrix, matmul_poly, random_homogeneous, random_linear, row_coefficients
+from conftest import (
+    coeff_matrix,
+    matmul_poly,
+    random_homogeneous,
+    random_linear,
+    row_coefficients,
+    seed_add,
+    seed_dot,
+    seed_product,
+)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +203,148 @@ def test_poly_matmul_matches_earlier_product(field):
         assert [[list(e.terms.items()) for e in r] for r in new] == [[list(e.terms.items()) for e in r] for r in old]
     with pytest.raises(ContractError):
         poly_matmul(a, a, ring)
+
+
+# -- the sum-of-products kernel ------------------------------------------------------
+
+KERNEL_FIELDS = [GF(3), GF(7), GF(DEFAULT_PRIME), GF(2**31 - 1), QQ]
+KERNEL_FIELD_IDS = ["GF3", "GF7", "GF32003", "GF2^31-1", "Q"]
+# twelve monomials and small coefficients: products share monomials, so
+# pair sums and running sums cancel and come back often
+dense_terms_st = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0)),
+    st.integers(-3, 3),
+    max_size=8,
+)
+
+
+def same_terms(f, g):
+    return f == g and list(f.terms.items()) == list(g.terms.items())
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
+@settings(max_examples=80, deadline=None)
+@given(pairs=st.lists(st.tuples(dense_terms_st, dense_terms_st), max_size=4))
+def test_dot_matches_earlier_products_and_sums(field, pairs):
+    # values and term order of the earlier loop: each pair summed with a
+    # delete on cancel, each product added with the earlier +
+    ring = PolyRing(field=field)
+    us = [build(ring, a) for a, _ in pairs]
+    vs = [build(ring, b) for _, b in pairs]
+    assert same_terms(poly.dot(us, vs, ring), seed_dot(us, vs, ring))
+    for f, g in zip(us, vs):
+        assert same_terms(f * g, seed_product(f, g))
+        assert same_terms(f + g, seed_add(f, g))
+
+
+@pytest.mark.parametrize(
+    "field, f, g",
+    [
+        (QQ, "-2*x0^2 - 2*x0 + 1", "x0^2*x1 + x0*x1 - x1"),
+        (QQ, "x0 + 1 + x0^2", "x0^2 - x0 + x1 + 1"),
+        (GF(3), "2*x0^2*x1 + x0^2 + 2", "x0^2*x1 + x1 + 1"),
+    ],
+    ids=["Q", "Q-two-variables", "GF3"],
+)
+def test_product_term_order_when_a_pair_sum_cancels(field, f, g):
+    # a monomial's pair sum cancels and comes back later in the product: the
+    # earlier loop appends it again at the end, after terms first seen since
+    ring = PolyRing(field=field)
+    f, g = parse_poly(f, ring), parse_poly(g, ring)
+    assert same_terms(f * g, seed_product(f, g))
+    assert same_terms(poly.dot([g, f], [g, g], ring), seed_dot([g, f], [g, g], ring))
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
+@settings(max_examples=40, deadline=None)
+@given(t=dense_terms_st, c=coeff_st)
+def test_neg_and_scale_match_field_operations(field, t, c):
+    ring = PolyRing(field=field)
+    f = build(ring, t)
+    c = field.of_int(c)
+    assert list((-f).terms.items()) == [(m, field.neg(v)) for m, v in f.terms.items()]
+    want = [(m, field.mul(c, v)) for m, v in f.terms.items()] if c else []
+    assert list(f.scale(c).terms.items()) == want
+
+
+def test_dot_of_zero_operands_and_empty_sequences(R):
+    f, g = P("x0 + 2*x1", R), P("x2^2 - x3*x4", R)
+    zero = R.zero()
+    assert poly.dot([], [], R) == zero
+    assert poly.dot([zero, f], [g, zero], R) == zero
+    assert same_terms(poly.dot([f, zero, f], [g, g, zero], R), f * g)
+    assert same_terms(poly.dot([f, g], [g, f], R), f * g + g * f)
+    with pytest.raises(ContractError):
+        poly.dot([f], [g, g], R)
+
+
+def test_dot_refuses_factors_of_another_ring(R):
+    other = PolyRing(field=GF(DEFAULT_PRIME))
+    f, g = P("x0 + x1", R), P("x0 + x1", other)
+    with pytest.raises(RingMismatchError):
+        poly.dot([f], [g], R)
+    with pytest.raises(RingMismatchError):
+        poly.dot([g], [g], R)
+    with pytest.raises(RingMismatchError):
+        f * g
+    # the ring is checked before a zero factor is skipped
+    with pytest.raises(RingMismatchError):
+        poly.dot([other.zero()], [f], R)
+
+
+def test_dot_checks_degree_before_packing(R):
+    x0 = R.variable(0)
+    assert x0**32 * x0**32 == R.monomial((64, 0, 0, 0, 0))
+    with pytest.raises(DegreeOverflowError):
+        x0**33 * x0**32
+    with pytest.raises(DegreeOverflowError):
+        poly.dot([x0, x0**33], [x0, x0**32], R)
+    # an exponent too wide for a 16-bit field is refused by the degree
+    # check, not by the packing; a zero factor is skipped before it
+    wide = R.monomial((1 << 16, 0, 0, 0, 0))
+    with pytest.raises(DegreeOverflowError):
+        poly.dot([wide], [R.one()], R)
+    assert poly.dot([wide], [R.zero()], R) == R.zero()
+
+
+def test_every_product_path_reaches_dot(monkeypatch, golden_tableau):
+    assert tableau.dot is normalform.dot is basechange.dot is poly.dot
+    calls = []
+    kernel = poly.dot
+
+    def counted(us, vs, ring):
+        calls.append(len(us))
+        return kernel(us, vs, ring)
+
+    for module in (poly, tableau, normalform):
+        monkeypatch.setattr(module, "dot", counted)
+    T = golden_tableau
+    ring = T.ring
+    f, g = T.alpha[1][0], T.beta[1][1]
+
+    def count(run):
+        calls.clear()
+        run()
+        return list(calls)
+
+    assert count(lambda: f * g) == [1]
+    assert count(lambda: poly_matmul([[f, g]], [[g], [f]], ring)) == [2]
+    # two dots of length width per entry of the strict upper triangle
+    w = T.width
+    assert count(lambda: tableau.check_symmetry(T.alpha, T.beta, ring)) == [w] * (w * (w - 1))
+    # one dot over the nonzero entries of the expanded row
+    full = T.full_matrix()
+    heads = [c for c in (1, 2) if not full[1][c].is_zero()]
+    assert heads
+    assert count(lambda: tableau.Minors(full, ring)((1, 2), (1, 2))) == [len(heads)]
+    assert count(lambda: normalform.verify_normal_shape(T)) == [4, 4]
+
+
+def test_graded_basis_is_one_shared_tuple(R):
+    basis = graded_basis(R, 3)
+    assert isinstance(basis, tuple)
+    assert graded_basis(PolyRing(field=GF(DEFAULT_PRIME)), 3) is basis
+    assert graded_basis(PolyRing(("a", "b"), QQ), 3) == ((3, 0), (2, 1), (1, 2), (0, 3))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)])
