@@ -350,10 +350,14 @@ def multiplication_table(
     The submatrix columns are the lexicographically first n columns whose
     lower square M' has det(M') outside I_{n+1}(A), decided by graded
     membership; products clear det(M')^2.  Every product lives in the
-    degree-(2n+4) piece of I_{n+1}(A): its rows are built once, one
-    elimination of [system | all right-hand sides] solves every product,
-    and the reduced echelon of the piece, kept on the table, re-verifies
-    every identity exactly and answers later memberships.
+    degree-(2n+4) piece of I_{n+1}(A), eliminated once by
+    ``surface_ideal.piece``.  One elimination of [system | all right-hand
+    sides] solves every product; the system's ideal columns are only the
+    piece's independent rows (``Echelon.independent``).  A row that
+    depends on earlier rows is never a pivot, so dropping it changes no
+    pivot, no solution (free variables zero) and no failing product.  The
+    piece's reduced echelon, kept on the table, re-verifies every identity
+    exactly and answers later memberships.
     """
     ring = T.ring
     field = ring.field
@@ -374,15 +378,15 @@ def multiplication_table(
     numerators = [D] + [N if k % 2 == 0 else -N for k, N in enumerate(cramer, 1)]
 
     # unknowns: c0 (degree 4) against D^2, c_k (degree 2) against N_k D, then
-    # the multipliers of the ideal's rows
+    # the multipliers of the piece's independent rows
     deg_total = 2 * n + 4
-    span = graded_piece(surrogate.generators, deg_total, ring)
+    piece = surrogate.piece(deg_total)
     # N_i N_j for i <= j, N_0 = D: the system's columns and right-hand sides,
     # and the left-hand sides of the re-verification below
     products = {(i, j): numerators[i] * numerators[j] for i in range(n + 1) for j in range(i, n + 1)}
     c0_rows = graded_piece([products[(0, 0)]], deg_total, ring, 4)
     ck_rows = graded_piece([products[(0, k)] for k in range(1, n + 1)], deg_total, ring, 2)
-    system = np.vstack([c0_rows, ck_rows, span]).T
+    system = np.vstack([c0_rows, ck_rows, piece.independent]).T
     pairs = [key for key in products if key[0] > 0]
     rhss = graded_piece([products[key] for key in pairs], deg_total, ring, 0)
     sols, bad = linalg.solve_columns(system, rhss, field)

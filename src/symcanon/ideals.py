@@ -86,7 +86,9 @@ class Ideal:
         graded_basis(ring, d) in descending grevlex order (a Macaulay
         matrix).  Its pivots are the leading monomials of the piece, its
         other columns the standard monomials of degree d, and the residue
-        of a coefficient vector (``reduce``) is its grevlex normal form."""
+        of a coefficient vector (``reduce``) is its grevlex normal form.
+        It also keeps the rows of graded_piece independent of the rows
+        before them (``independent``)."""
         if d not in self._pieces:
             self._pieces[d] = linalg.Echelon(graded_piece(self.generators, d, self.ring), self.ring.field)
         return self._pieces[d]

@@ -7,6 +7,12 @@ are exact int64 matrix products reduced mod p (no float64 BLAS) restricted
 to the nonzero rows and columns, so sparse Macaulay-type matrices stay
 cheap.  Over Q they run fraction-free Bareiss for ranks and exact Fraction
 elimination otherwise.  Nothing here is ever approximate.
+
+Both eliminations search the pivots column by column and take, in each
+column, the row with the least index in the input among those nonzero
+there.  So the pivot rows are the input's row rank profile, the rows
+independent of the rows before them (Jeannerod, Pernet & Storjohann,
+J. Symb. Comp. 56, 2013); ``Echelon`` keeps those rows.
 """
 
 from __future__ import annotations
@@ -54,12 +60,14 @@ def _mm(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return np.remainder(out, p, out=out)
 
 
-def _gauss_jordan(a: np.ndarray, p: int, width: int) -> Tuple[List[int], np.ndarray]:
+def _gauss_jordan(a: np.ndarray, p: int, width: int, key: np.ndarray) -> Tuple[List[int], np.ndarray]:
     """Column-by-column Gauss-Jordan of the first ``width`` columns of a, in
     place: the pivots, and the original index of the row at each position.
-    The r-th pivot row gets a 1 in column width + r, so the columns past
-    ``width`` end up holding each pivot row as a combination of the
-    original pivot rows: the inverse of the pivot block."""
+    Each column's pivot is the row of least ``key`` (its input index) among
+    the unused rows nonzero there.  The r-th pivot row gets a 1 in column
+    width + r, so the columns past ``width`` end up holding each pivot row
+    as a combination of the original pivot rows: the inverse of the pivot
+    block."""
     m = a.shape[0]
     order = np.arange(m)
     pivots: List[int] = []
@@ -67,10 +75,10 @@ def _gauss_jordan(a: np.ndarray, p: int, width: int) -> Tuple[List[int], np.ndar
     for c in range(width):
         if r == m:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = r + np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
-        i = r + int(nz[0])
+        i = int(nz[np.argmin(key[order[nz]])])
         if i != r:
             a[[r, i]] = a[[i, r]]
             order[[r, i]] = order[[i, r]]
@@ -88,21 +96,25 @@ def _gauss_jordan(a: np.ndarray, p: int, width: int) -> Tuple[List[int], np.ndar
     return pivots, order
 
 
-def _np_rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """Blocked Gauss-Jordan over GF(p): rref of a (a copy) and its pivots.
+def _np_rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:
+    """Blocked Gauss-Jordan over GF(p): rref of a (a copy), its pivots, and
+    the row rank profile of a, ascending.
 
     In each panel of columns the per-column loop finds the k pivots among
     the unused rows and the inverse of their k x k pivot block.  Only those
-    rows are swapped into place.  One product by that inverse normalizes
-    them, a second clears every other row, in place, a slab of rows at a
-    time; both skip the zero rows and columns of sparse Macaulay matrices.
+    rows are swapped into place, and ``index`` follows each row's input
+    index through the swaps.  One product by that inverse normalizes them,
+    a second clears every other row, in place, a slab of rows at a time;
+    both skip the zero rows and columns of sparse Macaulay matrices.
     """
     a = np.array(a, dtype=np.int64)
     if a.size and (a.min() < 0 or a.max() >= p):
         np.remainder(a, p, out=a)
     m, n = a.shape
+    index = np.arange(m)
     if n <= _PANEL:
-        return a, _gauss_jordan(a, p, n)[0]
+        pivots, order = _gauss_jordan(a, p, n, index)
+        return a, pivots, sorted(order[: len(pivots)].tolist())
     pivots: List[int] = []
     r = 0
     for c0 in range(0, n, _PANEL):
@@ -114,7 +126,7 @@ def _np_rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
             continue
         panel = np.zeros((live.size, width + min(width, live.size)), dtype=np.int64)
         panel[:, :width] = a[live, c0 : c0 + width]
-        local, order = _gauss_jordan(panel, p, width)
+        local, order = _gauss_jordan(panel, p, width, index[live])
         k = len(local)
         # the pivot rows move to rows r..r+k-1, the rows they displace there
         # move to the places they left
@@ -123,7 +135,9 @@ def _np_rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
         has_pivot[chosen[chosen < r + k] - r] = True
         away = chosen != top
         dst = np.concatenate([top[away], chosen[chosen >= r + k]])
-        a[dst] = a[np.concatenate([chosen[away], top[~has_pivot]])]
+        src = np.concatenate([chosen[away], top[~has_pivot]])
+        a[dst] = a[src]
+        index[dst] = index[src]
         pcols = c0 + np.array(local)
         block = a[r : r + k]
         cols = c0 + np.flatnonzero(block[:, c0:].any(axis=0))
@@ -139,27 +153,37 @@ def _np_rref(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
             a[np.ix_(slab, cols)] = sub
         pivots.extend(int(c) for c in pcols)
         r += k
-    return a, pivots
+    return a, pivots, sorted(index[:r].tolist())
 
 
-def rref(rows: Matrix, field: FieldSpec) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form plus pivot column indices."""
+def rref(rows: Matrix, field: FieldSpec, return_profile: bool = False) -> tuple:
+    """Reduced row echelon form plus pivot column indices, and with
+    ``return_profile`` the row rank profile of rows, ascending, third."""
     if len(rows) == 0 or len(rows[0]) == 0:
-        return [list(r) for r in rows], []
-    if _is_modp(field):
-        a, pivots = _np_rref(_np(rows), field.p)
-        return [[int(x) for x in row] for row in a], pivots
-    a = [[Fraction(x) for x in row] for row in rows]
+        out = [list(r) for r in rows], [], []
+    elif _is_modp(field):
+        a, pivots, profile = _np_rref(_np(rows), field.p)
+        out = [[int(x) for x in row] for row in a], pivots, profile
+    else:
+        out = _fraction_rref([[Fraction(x) for x in row] for row in rows])
+    return out if return_profile else out[:2]
+
+
+def _fraction_rref(a: List[List[Fraction]]) -> Tuple[Matrix, List[int], List[int]]:
+    """Gauss-Jordan over Q in place, pivots chosen as in ``_gauss_jordan``:
+    the rref, its pivots and the row rank profile."""
     m, n = len(a), len(a[0])
+    order = list(range(m))
     pivots = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        pivot = next((i for i in range(r, m) if a[i][c]), None)
+        pivot = min((i for i in range(r, m) if a[i][c]), key=order.__getitem__, default=None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
+        order[r], order[pivot] = order[pivot], order[r]
         inv = 1 / a[r][c]
         a[r] = [x * inv for x in a[r]]
         support = [(j, y) for j, y in enumerate(a[r]) if y]
@@ -170,7 +194,7 @@ def rref(rows: Matrix, field: FieldSpec) -> Tuple[Matrix, List[int]]:
                     row[j] -= f * y
         pivots.append(c)
         r += 1
-    return a, pivots
+    return a, pivots, sorted(order[:r])
 
 
 def rank(rows: Matrix, field: FieldSpec) -> int:
@@ -234,10 +258,11 @@ def nullspace(rows: Matrix, field: FieldSpec, ncols: Optional[int] = None) -> Li
 
 
 def _echelon(rows, field: FieldSpec):
-    """rref of a non-empty matrix; over GF(p) it stays an int64 array."""
+    """rref, pivots and row rank profile of a non-empty matrix; over GF(p)
+    the rref stays an int64 array."""
     if _is_modp(field):
         return _np_rref(_np(rows), field.p)
-    return rref(rows, field)
+    return rref(rows, field, return_profile=True)
 
 
 def solve_columns(
@@ -254,7 +279,7 @@ def solve_columns(
     n = len(rows[0])
     dtype = np.int64 if _is_modp(field) else object
     rhs = np.asarray(rhss, dtype=dtype).reshape(len(rhss), -1).T
-    red, pivots = _echelon(np.hstack([np.asarray(rows, dtype=dtype), rhs]), field)
+    red, pivots, _ = _echelon(np.hstack([np.asarray(rows, dtype=dtype), rhs]), field)
     scalar = int if _is_modp(field) else Fraction
     rank = sum(1 for c in pivots if c < n)
     bad = pivots[rank] - n if rank < len(pivots) else None
@@ -284,15 +309,20 @@ def vecmat(x: np.ndarray, y: np.ndarray, field: FieldSpec) -> np.ndarray:
 
 
 class Echelon:
-    """Reduced row echelon form of a row space, kept for membership tests."""
+    """Reduced row echelon form of a row space, kept for membership tests,
+    and the generating rows independent of the rows before them (the row
+    rank profile), which span the same space."""
 
     def __init__(self, rows, field: FieldSpec):
         self.field = field
         self.dtype = np.int64 if _is_modp(field) else object
         a = np.asarray(rows, dtype=self.dtype)
-        red, self.pivots = _echelon(a, field) if a.size else (a, [])
-        # a copy of the pivot rows, (rank x columns) even for rank 0
-        self.rows = np.array(red[: len(self.pivots)], dtype=self.dtype).reshape(len(self.pivots), a.shape[-1])
+        red, self.pivots, profile = _echelon(a, field) if a.size else (a, [], [])
+        # copies of the pivot rows and the independent rows, (rank x
+        # columns) even for rank 0
+        shape = (len(self.pivots), a.shape[-1])
+        self.rows = np.array(red[: len(self.pivots)], dtype=self.dtype).reshape(shape)
+        self.independent = a[profile].reshape(shape)
 
     def reduce(self, vec: Sequence[Scalar]) -> np.ndarray:
         """The residual vec - vec[pivots] . rows (mod p over GF(p)), one

@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from symcanon import linalg, univariate
@@ -20,7 +21,7 @@ from symcanon.ideals import (
 from symcanon.koszul import RegularSequence, solve_skew
 from symcanon.orders import GREVLEX, monomial_divides
 from symcanon.paramgen import realize, sample
-from symcanon.poly import PolyRing, Polynomial, graded_basis
+from symcanon.poly import PolyRing, Polynomial, graded_basis, graded_piece
 from symcanon.tableau import OpMove, SymmetricTableau
 
 GOLDEN_SEEDS = (0, 1, 2, 3, 5, 7)
@@ -178,6 +179,30 @@ def coeff_matrix(polys, d, ring=None):
             row[col[m]] = c
         rows.append(row)
     return rows, basis
+
+
+def cramer_system(table):
+    """The Cramer system of a multiplication table in degree 2n + 4: the
+    rows of its unknowns (c0 against D^2, then each c_k against N_k D),
+    every row of the piece of I_{n+1}(A), and the right-hand sides N_i N_j
+    for 1 <= i <= j <= n, in the table's order."""
+    ring, n, N = table.denominator.ring, table.n, table.numerators
+    d = 2 * n + 4
+    rows = np.vstack(
+        [graded_piece([N[0] * N[0]], d, ring, 4), graded_piece([N[0] * N[k] for k in range(1, n + 1)], d, ring, 2)]
+    )
+    rhss = graded_piece([N[i] * N[j] for i in range(1, n + 1) for j in range(i, n + 1)], d, ring, 0)
+    return rows, graded_piece(table.surface_ideal.generators, d, ring), rhss
+
+
+def cramer_solve(rows, ideal_rows, rhss, field):
+    """One elimination of [rows | ideal rows | right-hand sides]: each
+    solution cut to its first len(rows) entries, and the index of the
+    first inconsistent right-hand side.  Given every row of the piece it
+    is the earlier Cramer solve, the oracle of the one on the piece's
+    independent rows."""
+    sols, bad = linalg.solve_columns(np.vstack([rows, ideal_rows]).T, rhss, field)
+    return [x[: len(rows)] for x in sols], bad
 
 
 def skew_system(v, entry_degree):

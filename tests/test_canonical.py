@@ -4,8 +4,10 @@ import copy
 import dataclasses
 import re
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from symcanon.canonical import (
@@ -42,7 +44,18 @@ from symcanon.poly import PolyRing, coprime_on_a_line, graded_basis, graded_piec
 from symcanon.serialize import render_report, tableau_from_json, tableau_to_json
 from symcanon.tableau import Minors, SymmetricTableau, check_symmetry, degeneracy_scheme, fitting_ideal
 
-from conftest import GOLDEN_SEEDS, Q_SEEDS, adjugate, coeff_matrix, k2_10_fixture, matmul_poly, matrix_minor, random_linear
+from conftest import (
+    GOLDEN_SEEDS,
+    Q_SEEDS,
+    adjugate,
+    coeff_matrix,
+    cramer_solve,
+    cramer_system,
+    k2_10_fixture,
+    matmul_poly,
+    matrix_minor,
+    random_linear,
+)
 
 
 def test_resolution_shapes_and_composite(golden_tableau):
@@ -417,6 +430,45 @@ def test_multiplication_table_choice_independence(golden_tableau):
     assert tables_agree(t1, alt)
 
 
+@pytest.fixture(scope="module")
+def cramer_tables(golden_tableaux):
+    cases = [(f"gf-{s}", T) for s, T in zip(GOLDEN_SEEDS, golden_tableaux)]
+    cases += [(f"k2_10-{F.kind}-{F.p}", k2_10_fixture(F)) for F in (GF(DEFAULT_PRIME), GF(3037000493), QQ)]
+    return [(name, multiplication_table(T)) for name, T in cases]
+
+
+def test_cramer_solve_matches_the_full_system(cramer_tables):
+    # the table's system takes only the independent rows of the ideal's
+    # piece, the earlier one took all of them: the c0/c_k part of every
+    # solution, the first inconsistent right-hand side and the table's
+    # entries must agree.  A random right-hand side, last, is inconsistent
+    gen = np.random.default_rng(22)
+    for name, table in cramer_tables:
+        ring = table.denominator.ring
+        field = ring.field
+        rows, ideal_rows, rhss = cramer_system(table)
+        if field.kind == "prime_field":
+            noise = gen.integers(0, field.p, size=rhss.shape[1])
+        else:
+            noise = np.array([Fraction(int(x)) for x in gen.integers(-3, 4, size=rhss.shape[1])], dtype=object)
+        system = [*rhss, noise]
+        want = cramer_solve(rows, ideal_rows, system, field)
+        assert want[1] == len(rhss), name
+        independent = table.surface_ideal.piece(2 * table.n + 4).independent
+        assert len(independent) < len(ideal_rows), name
+        assert cramer_solve(rows, independent, system, field) == want, name
+        if name == "gf-0":
+            middle = [rhss[0], noise, *rhss[1:]]
+            got = cramer_solve(rows, independent, middle, field)
+            assert got == cramer_solve(rows, ideal_rows, middle, field) == (want[0][:1], 1)
+        pairs = [(i, j) for i in range(1, table.n + 1) for j in range(i, table.n + 1)]
+        entries = [
+            np.concatenate([graded_piece([c0], 4, ring, 0)[0]] + [graded_piece([c], 2, ring, 0)[0] for c in cs]).tolist()
+            for c0, cs in (table.entries[key] for key in pairs)
+        ]
+        assert entries == want[0], name
+
+
 @pytest.mark.parametrize("case", ["seed0", "seed3", "k2_10_gf"])
 def test_cramer_numerators_match_the_adjugate(golden_tableaux, case):
     # D and N_k read from the minor table against det(M') and the product of
@@ -529,8 +581,10 @@ def test_echelon_membership_matches_span_solve(case, request):
 
 def test_multiply_op_makes_two_eliminations(golden_tableau, monkeypatch):
     # the tracer counts linalg._np_rref by wrapping the module attribute; a
-    # multiply op must reach it twice (the solve and the piece's echelon),
-    # not once per panel of the blocked kernel
+    # multiply op must reach it twice (the piece's echelon, then the solve),
+    # not once per panel of the blocked kernel.  The solve's columns are
+    # the c0 and c_k unknowns, the piece's independent rows (as many as
+    # its rank) and one right-hand side per product v_i v_j, i <= j
     calls = []
     kernel = linalg._np_rref
 
@@ -547,10 +601,13 @@ def test_multiply_op_makes_two_eliminations(golden_tableau, monkeypatch):
         for j in range(1, n + 1)
         for k in range(1, n + 1)
     )
-    piece = graded_piece(table.surface_ideal.generators, 2 * n + 4, golden_tableau.ring)
+    ring = golden_tableau.ring
+    piece = graded_piece(table.surface_ideal.generators, 2 * n + 4, ring)
+    unknowns = len(graded_basis(ring, 4)) + n * len(graded_basis(ring, 2))
+    rank = len(table.surface_ideal.piece(2 * n + 4).pivots)
     assert len(calls) == 2
-    assert calls[0][0] == len(graded_basis(golden_tableau.ring, 2 * n + 4))
-    assert calls[1] == piece.shape
+    assert calls[0] == piece.shape
+    assert calls[1] == (len(graded_basis(ring, 2 * n + 4)), unknowns + rank + n * (n + 1) // 2)
 
 
 def test_reflexivity_composite_and_exactness():

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symcanon import linalg
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 
 FIELDS = [QQ, GF(DEFAULT_PRIME), GF(3)]
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def random_matrix(rng, rows, cols, field):
@@ -171,7 +175,7 @@ def test_blocked_rref_matches_column_loop(p):
                     a = a - p * gen.integers(0, 2, size=a.shape)  # unreduced input
                 want, want_pivots = _column_loop_rref(a.copy(), p)
                 before = a.copy()
-                got, got_pivots = linalg._np_rref(a, p)
+                got, got_pivots, _ = linalg._np_rref(a, p)
                 assert np.array_equal(a, before), "the kernel must not touch its input"
                 assert got_pivots == want_pivots and np.array_equal(got, want), (m, n, density, rank)
                 assert got.dtype == np.int64
@@ -212,3 +216,112 @@ def test_echelon_contains_matches_pivot_loop(field):
     zero = linalg.Echelon([[field.zero()] * n], field)
     assert zero.pivots == [] and zero.contains([field.zero()] * n)
     assert not zero.contains([field.one()] + [field.zero()] * (n - 1))
+
+
+# -- the row rank profile -------------------------------------------------------
+
+
+def _greedy_profile(a, p):
+    """Oracle: keep row i iff it raises the rank of the rows before it,
+    decided by reducing it against the kept rows in turn (each kept row
+    has a 1 at its lead column and zeros at the earlier leads); p = None
+    is Q."""
+    basis, kept = [], []
+    for i, row in enumerate(a):
+        v = np.array([Fraction(x) for x in row], dtype=object) if p is None else np.array(row, dtype=np.int64) % p
+        for c, b in basis:
+            if v[c]:
+                v = v - v[c] * b if p is None else (v - v[c] * b) % p
+        lead = np.flatnonzero(v)
+        if lead.size:
+            c = int(lead[0])
+            v = v / v[c] if p is None else (v * pow(int(v[c]), -1, p)) % p
+            basis.append((c, v))
+            kept.append(i)
+    return kept
+
+
+@st.composite
+def profile_matrices(draw, p):
+    """An m x n matrix (mod p, or small integers over Q) from a seed: a
+    random or sparse one, or a product L R of lower rank; then, maybe,
+    each row's leading entries cleared up to a random column (as in a
+    Macaulay matrix, rows start at different columns), zero rows, and
+    copies of earlier rows further down.  GF(p) shapes span several
+    panels; over Q the rank stays small, so the Fraction loop stays cheap."""
+    big = 150 if p else 72
+    m = draw(st.one_of(st.integers(65, big), st.integers(0, big)))
+    n = draw(st.one_of(st.integers(65, big), st.integers(1, big)))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.one_of(st.none(), st.integers(0, min(m, n))) if p else st.integers(0, min(m, n, 6)))
+    density = draw(st.sampled_from([1.0, 0.05]))
+
+    def draw_entries(rows, cols):
+        x = gen.integers(0, p, size=(rows, cols)) if p else gen.integers(-3, 4, size=(rows, cols))
+        return (x * (gen.random((rows, cols)) < density)).astype(object)
+
+    a = draw_entries(m, n) if rank is None else draw_entries(m, rank).dot(draw_entries(rank, n))
+    a = a % p if p else a
+    if draw(st.booleans()):
+        a[np.arange(n) < gen.integers(0, n + 1, size=(m, 1))] = 0
+    for _ in range(draw(st.integers(0, m // 4))):
+        a[gen.integers(0, m)] = 0
+    for _ in range(draw(st.integers(0, m // 4))):
+        i, j = sorted(gen.integers(0, m, size=2))
+        a[j] = a[i]
+    return a.reshape(m, n)
+
+
+def _profile_case(a, field):
+    p = field.p if field.kind == "prime_field" else None
+    want = _greedy_profile(a, p)
+    red, pivots, profile = linalg.rref(a.tolist(), field, return_profile=True)
+    assert profile == want and linalg.rref(a.tolist(), field) == (red, pivots)
+    if p:
+        assert linalg._np_rref(a.astype(np.int64), p)[2] == want
+        certificate = _column_loop_rref(a[np.ix_(want, pivots)].astype(np.int64), p)[0]
+    else:
+        certificate = np.array(linalg.rref(a[np.ix_(want, pivots)].tolist(), field)[0], dtype=object)
+        certificate = certificate.reshape(len(want), len(want))
+    # the rows of the profile on the pivot columns: an invertible block,
+    # which certifies rank >= len(pivots)
+    assert len(pivots) == len(want)
+    assert np.array_equal(certificate, np.eye(len(want), dtype=np.int64))
+    ech = linalg.Echelon(a, field)
+    assert ech.pivots == pivots and ech.independent.shape == (len(want), a.shape[1])
+    assert np.array_equal(ech.independent, a[want])
+
+
+@pytest.mark.parametrize("p", [3, 7, 32003, 3037000493])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_row_rank_profile_matches_greedy(p, data):
+    _profile_case(data.draw(profile_matrices(p)), GF(p))
+
+
+@settings(max_examples=12, deadline=None)
+@given(a=profile_matrices(None))
+def test_row_rank_profile_matches_greedy_over_q(a):
+    _profile_case(a, QQ)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_row_rank_profile_after_a_row_swap(field):
+    # the first pivot, row 2, swaps places with row 0; then row 1 = 2 row 0
+    # stands first in column 1, but row 0 comes first in the input
+    _profile_case(np.array([[0, 1], [0, 2], [1, 0]], dtype=object), field)
+
+
+def test_tracer_measure_of_the_kernel():
+    # the benchmark's tracer records rows x columns and the rank of each
+    # kernel call from its arguments and result (the pivots, second);
+    # spans.py is executed from its text, so nothing is written beside it
+    spans = types.ModuleType("spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans.__dict__)
+    measure = next(m for mod, attr, _, m in spans.TARGETS if (mod, attr) == ("linalg", "_np_rref"))
+    p = 32003
+    a = _random_residues(np.random.default_rng(3), 90, 140, p, rank=40)
+    rank = len(_column_loop_rref(a.copy(), p)[1])
+    assert rank == 40
+    args = (a, p)
+    assert measure(args, linalg._np_rref(*args)) == (90 * 140, rank)
