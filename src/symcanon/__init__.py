@@ -18,10 +18,8 @@ from .ideals import (
     ideal_equal,
     ideal_intersection,
     ideal_quotient,
-    is_radical_zerodim,
     multiplicity,
     normal_form_poly,
-    point_count,
     saturate,
 )
 from .koszul import RegularSequence, SkewWitness, ambiguity_dim, is_regular_sequence, koszul_differential, solve_skew

@@ -1,5 +1,6 @@
 """Homogeneous ideal arithmetic: Groebner bases, quotients, saturation,
-dimension, degree, and the zero-dimensional radicality test.
+dimension, degree, and the analysis of point schemes (reducedness and the
+distinct-point count, from the rank of the trace form; no random draws).
 
 Everything public here assumes homogeneous input; this matches the graded
 setting of the geometry.  A question about one degree d (membership, normal
@@ -27,9 +28,9 @@ from math import gcd
 from operator import itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg, univariate
+from . import linalg
 from .errors import BudgetExceededError, ContractError, DegreeOverflowError, RingMismatchError
-from .fields import DetRng, FieldSpec, Scalar
+from .fields import FieldSpec, Scalar
 from .orders import (
     FIELD_BITS,
     GREVLEX,
@@ -513,7 +514,7 @@ def saturate(I: Ideal) -> Ideal:
             return result
 
 
-# -- dimension, degree, radicality ---------------------------------------------
+# -- dimension, degree, point schemes ------------------------------------------
 
 
 def dimension(I: Ideal, order: MonomialOrder = GREVLEX) -> int:
@@ -661,18 +662,16 @@ def _multiplication_operator(sat: Ideal, form: Polynomial, source: List[Monomial
 def zero_dim_analysis(I: Ideal) -> ZeroDimAnalysis:
     """Reducedness and distinct-point count for a projective 0-dimensional I.
 
-    Works entirely with graded pieces: in a stable degree the quotient by
-    the saturation has dimension equal to the scheme length e, and the
-    operator (mult by u)(mult by h)^-1 acts as the rational function u/h on
-    the points.  Its minimal polynomial g certifies:
-      * g not squarefree        -> not reduced (for any u);
-      * g squarefree, deg g = e -> reduced with e distinct points.
+    Works entirely with graded pieces.  In a stable degree m the quotient
+    by the saturation has dimension equal to the scheme length e, and for a
+    form h that vanishes at no point, M_h^-1 M_{x_k} acts on it as the
+    function x_k/h.  The words of degree m in these operators span the
+    algebra of the points, and the rank of its trace form Tr(xy) is the
+    number of distinct geometric points (Hermite; the characteristic
+    exceeds every multiplicity, since it exceeds e).  The scheme is
+    reduced exactly when that rank is e.
     """
     return _zero_dim_saturated(saturate(I))
-
-
-# seeded (h, u) draws before degenerate eliminants are reported
-_ZERO_DIM_ATTEMPTS = 5
 
 
 def _zero_dim_saturated(sat: Ideal) -> ZeroDimAnalysis:
@@ -688,7 +687,7 @@ def _zero_dim_saturated(sat: Ideal) -> ZeroDimAnalysis:
     _, e = _numerator_at_one(sat)
     p = field.characteristic
     if p and p <= e:
-        raise ContractError(f"characteristic {p} too small for degree-{e} eliminants")
+        raise ContractError(f"characteristic {p} too small for the trace form of a length-{e} scheme")
 
     m = 0
     guard = 4 * e + 8
@@ -700,58 +699,37 @@ def _zero_dim_saturated(sat: Ideal) -> ZeroDimAnalysis:
     target = _standard_monomials(sat, m + 1)
     assert len(source) == e and len(target) == e
 
-    best_count = 0
-    saw_non_squarefree = False
-    for attempt in range(_ZERO_DIM_ATTEMPTS):
-        rng = DetRng(0xE11 + attempt)
-        Mh = None
-        for _ in range(5):
-            h = ring.linear_form([rng.scalar(field) for _ in range(ring.nvars)])
-            Mh = _multiplication_operator(sat, h, source, target)
-            if linalg.rank(Mh, field) == e:
-                break
-            Mh = None
-        if Mh is None:
-            continue
-        u = ring.linear_form([rng.scalar(field) for _ in range(ring.nvars)])
-        Mu = _multiplication_operator(sat, u, source, target)
-        theta = linalg.matmul(linalg.inverse(Mh, field), Mu, field)
-        g = _minimal_polynomial(theta, field)
-        sqf = univariate.squarefree_part(g, field)
-        if univariate.degree(sqf) < univariate.degree(g):
-            saw_non_squarefree = True
-            best_count = max(best_count, univariate.degree(sqf))
-        else:
-            if univariate.degree(g) == e:
-                return ZeroDimAnalysis(True, e, e, sat)
-            best_count = max(best_count, univariate.degree(g))
-    if saw_non_squarefree:
-        return ZeroDimAnalysis(False, best_count, e, sat)
-    raise BudgetExceededError("degenerate eliminants in all seeded attempts")
-
-
-def _minimal_polynomial(theta, field: FieldSpec) -> List[Scalar]:
-    e = len(theta)
-    vecs: List[List[Scalar]] = []
-    power = linalg.identity(e, field)
-    for _ in range(e + 1):
-        v = [power[i][j] for i in range(e) for j in range(e)]
-        if vecs:
-            coeffs = linalg.solve_particular(linalg.transpose(vecs), v, field)
-            if coeffs is not None:
-                # theta^k = sum c_i theta^i, so the minimal polynomial is
-                # T^k - sum c_i T^i
-                return univariate.trim([field.neg(c) for c in coeffs] + [field.one()], field)
-        vecs.append(v)
-        power = linalg.matmul(power, theta, field)
-    raise AssertionError("operator has no minimal polynomial of degree <= dim")
-
-
-def is_radical_zerodim(I: Ideal) -> bool:
-    """True iff the (saturated) projective 0-dimensional scheme is reduced."""
-    return zero_dim_analysis(I).reduced
-
-
-def point_count(I: Ideal) -> int:
-    """Number of distinct projective points (multiplicity ignored)."""
-    return zero_dim_analysis(I).points
+    # h = l_c = sum_i c^i x_i: at each point l_c is a nonzero polynomial of
+    # degree at most nvars - 1 in c, so some c below (nvars - 1) e + 1
+    # misses them all
+    c_bound = (ring.nvars - 1) * e + 1
+    if p:
+        c_bound = min(p, c_bound)
+    for c in range(c_bound):
+        h = ring.linear_form([field.of_int(c**i) for i in range(ring.nvars)])
+        Mh = _multiplication_operator(sat, h, source, target)
+        if linalg.rank(Mh, field) == e:
+            break
+    else:
+        raise BudgetExceededError(
+            f"every form sum_i c^i x_i with 0 <= c < {c_bound} vanishes at a point of the scheme"
+        )
+    Mh_inv = linalg.inverse(Mh, field)
+    theta = {
+        k: linalg.matmul(Mh_inv, _multiplication_operator(sat, ring.variable(k), source, target), field)
+        for k in range(ring.nvars)
+        if any(s[k] for s in source)
+    }
+    words = []
+    for s in source:
+        W = linalg.identity(e, field)
+        for k, op in theta.items():
+            for _ in range(s[k]):
+                W = linalg.matmul(W, op, field)
+        words.append(W)
+    # Tr(W_s W_t) = sum_ij (W_s)_ij (W_t)_ji: row s of W_s flattened
+    # against column t of W_t transposed and flattened
+    flat = [[x for row in W for x in row] for W in words]
+    flat_t = [[x for row in linalg.transpose(W) for x in row] for W in words]
+    r = linalg.rank(linalg.matmul(flat, linalg.transpose(flat_t), field), field)
+    return ZeroDimAnalysis(r == e, r, e, sat)

@@ -1,9 +1,9 @@
-"""Univariate helpers over an exact field: gcd, squarefree parts, roots.
+"""Univariate helpers over an exact field: arithmetic, gcd, roots.
 
-Polynomials are coefficient lists in ascending order.  These back the
-eliminant-based radicality test and the gcd of ``poly``'s minors of forms on
-a line (the grade certificate, the K2=11 direction search); nothing here
-touches the multivariate machinery.
+Polynomials are coefficient lists in ascending order.  These back the gcd
+of ``poly``'s minors of forms on a line (the grade certificate, the K2=11
+direction search) and the roots of that gcd; nothing here touches the
+multivariate machinery.
 """
 
 from __future__ import annotations
@@ -85,18 +85,6 @@ def gcd(f: Coeffs, g: Coeffs, field: FieldSpec) -> Coeffs:
     while b:
         a, b = b, divmod_poly(a, b, field)[1]
     return monic(a, field)
-
-
-def derivative(f: Coeffs, field: FieldSpec) -> Coeffs:
-    return trim([field.mul(field.of_int(i), c) for i, c in enumerate(f)][1:], field)
-
-
-def squarefree_part(f: Coeffs, field: FieldSpec) -> Coeffs:
-    f = monic(f, field)
-    if degree(f) <= 0:
-        return f
-    g = gcd(f, derivative(f, field), field)
-    return divmod_poly(f, g, field)[0]
 
 
 def evaluate(f: Coeffs, x: Scalar, field: FieldSpec) -> Scalar:

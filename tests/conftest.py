@@ -7,16 +7,21 @@ import numpy as np
 import pytest
 
 from symcanon import linalg, univariate
-from symcanon.errors import ContractError, RingMismatchError
+from symcanon.errors import BudgetExceededError, ContractError, RingMismatchError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
     Ideal,
+    _multiplication_operator,
     _normal_form_terms,
+    _numerator_at_one,
     _Packing,
+    _standard_monomials,
     groebner_basis,
+    hilbert_function,
     ideal_equal,
     ideal_intersection,
     ideal_quotient,
+    saturate,
 )
 from symcanon.koszul import RegularSequence, solve_skew
 from symcanon.orders import GREVLEX, monomial_divides
@@ -314,6 +319,72 @@ def groebner_multiplication_operator(sat, form, source, target):
         for Y, c in _normal_form_terms([(X + Z, c) for Z, c in form_terms], reducers, pk.p, pk.guard):
             out[row[Y]][j] = c
     return out
+
+
+def seeded_zero_dim(I):
+    """The earlier point analysis of a projective 0-dimensional I, as
+    (reduced, points, length): up to five seeded draws of forms (h, u),
+    the minimal polynomial g of M_h^-1 M_u and its squarefree part.  A
+    squarefree g of degree e certifies e reduced points; a g that is not
+    squarefree certifies a nonreduced scheme, with the best squarefree
+    degree of the draws as the count; degenerate draws throughout raise
+    BudgetExceededError.  Assumes the preconditions the library checks."""
+    sat = saturate(I)
+    field = sat.ring.field
+    _, e = _numerator_at_one(sat)
+    m = 0
+    while hilbert_function(sat, m) != e:
+        m += 1
+    source, target = _standard_monomials(sat, m), _standard_monomials(sat, m + 1)
+    best, saw_non_squarefree = 0, False
+    for attempt in range(5):
+        rng = DetRng(0xE11 + attempt)
+        Mh = None
+        for _ in range(5):
+            h = random_linear(sat.ring, rng)
+            Mh = _multiplication_operator(sat, h, source, target)
+            if linalg.rank(Mh, field) == e:
+                break
+            Mh = None
+        if Mh is None:
+            continue
+        Mu = _multiplication_operator(sat, random_linear(sat.ring, rng), source, target)
+        g = _minimal_polynomial(linalg.matmul(linalg.inverse(Mh, field), Mu, field), field)
+        sqf = _squarefree_part(g, field)
+        if univariate.degree(sqf) < univariate.degree(g):
+            saw_non_squarefree = True
+            best = max(best, univariate.degree(sqf))
+        elif univariate.degree(g) == e:
+            return True, e, e
+        else:
+            best = max(best, univariate.degree(g))
+    if saw_non_squarefree:
+        return False, best, e
+    raise BudgetExceededError("degenerate eliminants in all seeded attempts")
+
+
+def _minimal_polynomial(theta, field):
+    # the first power theta^k in the span of the lower ones gives
+    # T^k - sum c_i T^i, ascending coefficients
+    e = len(theta)
+    vecs, power = [], linalg.identity(e, field)
+    for _ in range(e + 1):
+        v = [x for row in power for x in row]
+        if vecs:
+            coeffs = linalg.solve_particular(linalg.transpose(vecs), v, field)
+            if coeffs is not None:
+                return univariate.trim([field.neg(c) for c in coeffs] + [field.one()], field)
+        vecs.append(v)
+        power = linalg.matmul(power, theta, field)
+    raise AssertionError("operator has no minimal polynomial of degree <= dim")
+
+
+def _squarefree_part(f, field):
+    f = univariate.monic(f, field)
+    if univariate.degree(f) <= 0:
+        return f
+    df = univariate.trim([field.mul(field.of_int(i), c) for i, c in enumerate(f)][1:], field)
+    return univariate.divmod_poly(f, univariate.gcd(f, df, field), field)[0]
 
 
 def matrix_minor(rows, row_idx, col_idx, ring, _memo=None):

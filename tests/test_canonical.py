@@ -35,8 +35,8 @@ from symcanon.ideals import (
     dimension,
     ideal_equal,
     normal_form_poly,
-    point_count,
     saturate,
+    zero_dim_analysis,
 )
 from symcanon import canonical, ideals, linalg, poly, tableau
 from symcanon.paramgen import realize, sample
@@ -358,13 +358,13 @@ def test_saturated_equal_matches_saturating_both(golden_tableaux):
 def test_conductor(golden_tableau):
     cond = conductor_ideal(golden_tableau)
     assert codimension(cond) == 4
-    assert point_count(cond) == 3
+    assert zero_dim_analysis(cond).points == 3
 
 
 def test_conductor_k10():
     T = k2_10_fixture(GF(DEFAULT_PRIME))
     cond = conductor_ideal(T)
-    assert point_count(cond) == 1
+    assert zero_dim_analysis(cond).points == 1
 
 
 def test_conductor_requires_ring_condition(golden_tableau):

@@ -43,3 +43,18 @@ def test_grade_certificate_imports_no_ideal_engine():
     assert home == "symcanon.poly"
     assert "symcanon.univariate" in seen
     assert not seen & FORBIDDEN
+
+
+def test_point_analysis_draws_no_seed():
+    # the zero-dimensional analysis is seedless, so a replay of its trace
+    # Gram matrix needs no random stream: ideals imports neither the
+    # univariate helpers nor DetRng
+    assert "symcanon.univariate" not in _symcanon_imports("symcanon.ideals")
+    tree = ast.parse(Path(importlib.import_module("symcanon.ideals").__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    assert "DetRng" not in names

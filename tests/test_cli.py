@@ -105,6 +105,15 @@ def test_cli_generate_verify_pipeline(tmp_path, capsys):
     assert report["overall"] == "PASS"
 
 
+def test_cli_verify_answers_the_gf7_seed_4_points(tmp_path, capsys):
+    # its degeneracy scheme, 3 reduced points, defeated every seeded draw
+    # of the earlier point analysis (exit 3)
+    tab = str(tmp_path / "t.json")
+    assert main(["generate", "--seed", "4", "--field", "p:7", "-o", tab]) == 0
+    assert main(["verify", tab]) == 0
+    assert "degeneracy: PASS (3 reduced points)" in capsys.readouterr().out
+
+
 def test_cli_generate_reproducible(tmp_path):
     t1 = tmp_path / "a.json"
     t2 = tmp_path / "b.json"

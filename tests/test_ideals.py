@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symcanon import ideals
+from symcanon import ideals, linalg
 from symcanon.errors import BudgetExceededError, ContractError, DegreeOverflowError
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
 from symcanon.ideals import (
@@ -18,10 +20,8 @@ from symcanon.ideals import (
     ideal_equal,
     ideal_intersection,
     ideal_quotient,
-    is_radical_zerodim,
     multiplicity,
     normal_form_poly,
-    point_count,
     same_hilbert_polynomial,
     saturate,
     zero_dim_analysis,
@@ -31,9 +31,10 @@ from symcanon.ideals import (
 from symcanon.orders import GREVLEX, LEX, elimination, grevlex_with_last
 from symcanon.poly import EXPONENT_BOUND, Polynomial, PolyRing, graded_piece, parse_poly
 from symcanon.paramgen import realize, sample
-from symcanon.tableau import Minors, erase_first_row, fitting_ideal
+from symcanon.tableau import Minors, degeneracy_scheme, erase_first_row, fitting_ideal
 
 from conftest import (
+    GOLDEN_SEEDS,
     groebner_multiplication_operator,
     groebner_standard_monomials,
     irrelevant_ideal,
@@ -41,6 +42,7 @@ from conftest import (
     k2_10_fixture,
     random_homogeneous,
     random_linear,
+    seeded_zero_dim,
 )
 
 
@@ -426,11 +428,10 @@ def test_multiplicity_of_unions_of_points(R):
 
 
 def test_radical_and_point_count(R):
-    assert is_radical_zerodim(I(R, "x0", "x1", "x2", "x3"))
-    fat = I(R, "x0^2", "x1", "x2", "x3")
-    assert not is_radical_zerodim(fat)
-    assert point_count(fat) == 1
-    assert point_count(I(R, "x0", "x1", "x2", "x3")) == 1
+    point = zero_dim_analysis(I(R, "x0", "x1", "x2", "x3"))
+    assert point.reduced and point.points == 1
+    fat = zero_dim_analysis(I(R, "x0^2", "x1", "x2", "x3"))
+    assert not fat.reduced and fat.points == 1
 
 
 def test_radical_contract_violations(R):
@@ -439,7 +440,7 @@ def test_radical_contract_violations(R):
     small = PolyRing(field=GF(3))
     fat = Ideal(small, [small.variable(0) ** 3] + [small.variable(i) for i in (1, 2, 3)])
     with pytest.raises(ContractError):
-        zero_dim_analysis(fat)  # eliminant degree 3 over GF(3) is refused
+        zero_dim_analysis(fat)  # length 3 over GF(3) is refused
 
 
 def test_two_reduced_points_modp():
@@ -451,6 +452,111 @@ def test_two_reduced_points_modp():
     both = ideal_intersection(p1, p2)
     analysis = zero_dim_analysis(both)
     assert analysis.reduced and analysis.points == 2 and analysis.length == 2
+
+
+# (reduced, points, length) of small point schemes, by name: a double
+# point, a double point plus a simple point, a pair of points (conjugate
+# over GF(7) and Q, where 3 is no square, and rational over GF(32003)) and
+# two rational points
+POINT_CORPUS = {
+    "double": ([("x0^2", "x1", "x2", "x3")], (False, 1, 2)),
+    "double_and_simple": ([("x0^2", "x1", "x2", "x3"), ("x0 - x4", "x1", "x2", "x3")], (False, 2, 3)),
+    "conjugate_pair": ([("x0^2 - 3*x4^2", "x1", "x2", "x3")], (True, 2, 2)),
+    "two_rational": ([("x0", "x1", "x2", "x3"), ("x0 - x4", "x1", "x2", "x3")], (True, 2, 2)),
+}
+
+
+def _points_ideal(ring, components):
+    return reduce(ideal_intersection, [I(ring, *gens) for gens in components])
+
+
+def _verdict(analysis):
+    return analysis.reduced, analysis.points, analysis.length
+
+
+@pytest.mark.parametrize("field", [GF(7), GF(DEFAULT_PRIME), QQ], ids=["gf7", "gf32003", "q"])
+@pytest.mark.parametrize("name", sorted(POINT_CORPUS))
+def test_point_corpus_verdicts(name, field):
+    # the trace-form rank gives the expected verdicts, the same as the
+    # seeded minimal-polynomial route's
+    components, expected = POINT_CORPUS[name]
+    ideal = _points_ideal(PolyRing(field=field), components)
+    assert _verdict(zero_dim_analysis(ideal)) == expected
+    assert seeded_zero_dim(ideal) == expected
+
+
+def _degeneracy_ideal(T):
+    return fitting_ideal(T.minors(), T.n, rows=range(1, T.n + 1))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"gf-{s}" for s in GOLDEN_SEEDS] + ["q-0", "q-2", "k2_10-gf", "k2_10-q"],
+)
+def test_point_analysis_matches_seeded_route(case):
+    # the degeneracy schemes of the golden tableaux and the K2 = 10 fixture
+    kind, arg = case.split("-")
+    if kind == "k2_10":
+        T = k2_10_fixture(GF(DEFAULT_PRIME) if arg == "gf" else QQ)
+    else:
+        T = realize(sample(int(arg), GF(DEFAULT_PRIME) if kind == "gf" else QQ))
+    ideal = _degeneracy_ideal(T)
+    assert _verdict(zero_dim_analysis(ideal)) == seeded_zero_dim(ideal)
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+def test_gf7_degeneracy_points_answered(seed):
+    # every seeded draw of the earlier route was degenerate on these two
+    # schemes of 3 reduced points
+    T = realize(sample(seed, GF(7)))
+    with pytest.raises(BudgetExceededError):
+        seeded_zero_dim(_degeneracy_ideal(T))
+    scheme = degeneracy_scheme(T)
+    assert scheme.finite and scheme.reduced and scheme.points == 3 and scheme.length == 3
+
+
+affine_points = st.lists(
+    st.tuples(*[st.integers(0, DEFAULT_PRIME - 1)] * 4), min_size=1, max_size=4, unique=True
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(points=affine_points, doubled=st.booleans())
+def test_rational_points_counted(points, doubled):
+    # up to 4 points (a : 1), the first one doubled along x0 if asked
+    ring = PolyRing(field=GF(DEFAULT_PRIME))
+    x = ring.gens()
+    components = [[x[k] - x[4].scale(a[k]) for k in range(4)] for a in points]
+    if doubled:
+        components[0][0] = components[0][0] * components[0][0]
+    ideal = reduce(ideal_intersection, [Ideal(ring, lines) for lines in components])
+    k = len(points)
+    assert _verdict(zero_dim_analysis(ideal)) == (not doubled, k, k + doubled)
+
+
+@pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ], ids=["gf", "q"])
+def test_point_analysis_skips_zero_divisor_forms(field):
+    # l_0 = x0 vanishes at (0:0:0:0:1) and l_1 = x0 + ... + x4 at
+    # (1:-1:0:0:0), so the search takes l_2
+    ring = PolyRing(field=field)
+    ideal = _points_ideal(ring, [("x0", "x1", "x2", "x3"), ("x0 + x1", "x2", "x3", "x4")])
+    sat = saturate(ideal)
+    source, target = _standard_monomials(sat, 1), _standard_monomials(sat, 2)
+    assert len(source) == 2
+    for c in (0, 1):
+        form = ring.linear_form([field.of_int(c**i) for i in range(5)])
+        assert linalg.rank(_multiplication_operator(sat, form, source, target), field) < 2
+    assert _verdict(zero_dim_analysis(ideal)) == (True, 2, 2)
+
+
+def test_point_analysis_refuses_when_every_form_meets_a_point():
+    # over GF(5), l_c vanishes at (0:4:1:4:1) for c = 0, 1, 2, 3 and at
+    # (1:1:0:0:0) for c = 4
+    ring = PolyRing(field=GF(5))
+    ideal = _points_ideal(ring, [("x0", "x1 - 4*x4", "x2 - x4", "x3 - 4*x4"), ("x0 - x1", "x2", "x3", "x4")])
+    assert multiplicity(ideal) == 2
+    with pytest.raises(BudgetExceededError, match="0 <= c < 5"):
+        zero_dim_analysis(ideal)
 
 
 def test_hilbert_function(R):
