@@ -110,7 +110,7 @@ class FieldSpec:
     def inv(self, a: Scalar) -> Scalar:
         if not a:
             raise ZeroDivisionError("field inverse of zero")
-        return 1 / a if self.kind == "rationals" else pow(a, -1, self.p)
+        return Fraction(1) / a if self.kind == "rationals" else pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))

@@ -326,12 +326,15 @@ class Echelon:
 
     def reduce(self, vec: Sequence[Scalar]) -> np.ndarray:
         """The residual vec - vec[pivots] . rows (mod p over GF(p)), one
-        vector product.  Each pivot row is zero in the other pivot columns,
-        so the residual is zero there: the one vector congruent to vec
-        modulo the row space with that support, zero exactly for members."""
+        vector product; over Q only the rows of nonzero pivot entries enter
+        it.  Each pivot row is zero in the other pivot columns, so the
+        residual is zero there: the one vector congruent to vec modulo the
+        row space with that support, zero exactly for members."""
         v = np.asarray(vec, dtype=self.dtype)
         if not _is_modp(self.field):
-            return v - vecmat(v[self.pivots], self.rows, self.field)
+            heads = v[self.pivots]
+            live = np.flatnonzero(heads)
+            return v - heads[live].dot(self.rows[live])
         v = v % self.field.p
         return (v - vecmat(v[self.pivots], self.rows, self.field)) % self.field.p
 

@@ -7,8 +7,9 @@ has an empty dict.  Values are never mutated after construction.
 ``dot`` is the one sum-of-products kernel: ``*``, ``poly_matmul`` and the
 callers' symmetry dots, minors and cubic identities all go through it.
 Inside it a monomial is one int with 16-bit exponent fields, so a product
-of monomials is an int sum, and coefficients are summed with ints (GF(p))
-or Fractions (Q), with no field method call per term.
+of monomials is an int sum, and coefficients are summed as ints: residues
+over GF(p), and over Q integer numerators over one denominator, with one
+Fraction per output term and no field method call per term.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import struct
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 from operator import add, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -155,10 +157,13 @@ class Polynomial:
         """A term that cancels is deleted, and appended again if a later sum
         brings it back; ``dot`` merges its products by the same rule."""
         self._check_ring(other)
-        return Polynomial(self.ring, _merge(dict(self.terms), other.terms, self.ring.field))
+        return Polynomial(self.ring, _merge(dict(self.terms), other.terms, self.ring.field.characteristic))
 
     def __neg__(self) -> "Polynomial":
-        return self.scale(self.ring.field.of_int(-1))
+        p = self.ring.field.characteristic
+        if p:
+            return Polynomial(self.ring, {m: p - v for m, v in self.terms.items()})
+        return Polynomial(self.ring, {m: -v for m, v in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -290,13 +295,13 @@ class Polynomial:
 # -- sums of products -------------------------------------------------------------
 
 
-def _merge(total: dict, terms: dict, field: FieldSpec) -> dict:
+def _merge(total: dict, terms: dict, p: int) -> dict:
     """Add ``terms`` into ``total`` in place, as ``+`` does: a sum that
-    cancels deletes its term, which a later sum appends again."""
-    p, zero = field.characteristic, field.zero()
+    cancels deletes its term, which a later sum appends again.  Sums are
+    reduced mod p when p is nonzero."""
     get = total.get
     for m, c in terms.items():
-        s = get(m, zero) + c
+        s = get(m, 0) + c
         if p:
             s %= p
         if s:
@@ -304,6 +309,16 @@ def _merge(total: dict, terms: dict, field: FieldSpec) -> dict:
         else:
             total.pop(m, None)
     return total
+
+
+def _numerators(terms: dict, p: int) -> Tuple[list, int]:
+    """The (monomial, int) pairs of ``terms`` over one positive denominator:
+    the residues over 1 over GF(p), over Q the numerators over the lcm of
+    the coefficients' denominators."""
+    if p:
+        return terms.items(), 1
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [(m, c.numerator * (den // c.denominator)) for m, c in terms.items()], den
 
 
 def dot(us: Sequence[Polynomial], vs: Sequence[Polynomial], ring: PolyRing) -> Polynomial:
@@ -314,12 +329,16 @@ def dot(us: Sequence[Polynomial], vs: Sequence[Polynomial], ring: PolyRing) -> P
     at most DEGREE_BOUND (DegreeOverflowError).  A monomial is then one int
     with 16-bit exponent fields; exponents of a product of degree at most
     DEGREE_BOUND stay below 2^16, so no field carries and multiplying
-    monomials adds ints.  Pair sums and the running sum follow the rule of
-    ``+``: a sum that cancels deletes its term, which a later sum appends
-    again.  So the result has the terms, in the same order, of the products
-    formed pair by pair and added one at a time.  (Summing a product's
-    pairs unreduced and reducing once per term is no faster here, and
-    moves a term whose partial sum cancels.)
+    monomials adds ints.  So are coefficients: residues mod p, or over Q
+    numerators over the lcm of a factor's denominators, a product over the
+    product of its factors', the running sum over the lcm of its own and
+    each product's; one Fraction per output term.  Pair sums and the
+    running sum follow the rule of ``+``: a sum that cancels deletes its
+    term, which a later sum appends again.  A common positive scale keeps
+    each sum zero or not, so the result has the terms, in the same order,
+    of the products formed pair by pair and added one at a time.  (Summing
+    a product's pairs unreduced and reducing once per term is no faster
+    here, and moves a term whose partial sum cancels.)
     """
     if len(us) != len(vs):
         raise ContractError(f"dot of {len(us)} and {len(vs)} factors")
@@ -333,27 +352,41 @@ def dot(us: Sequence[Polynomial], vs: Sequence[Polynomial], ring: PolyRing) -> P
         if degree > DEGREE_BOUND:
             raise DegreeOverflowError(f"product degree {degree} exceeds bound {DEGREE_BOUND}")
         factors.append((f.terms, g.terms))
-    field = ring.field
-    p, zero = field.characteristic, field.zero()
+    p = ring.field.characteristic
     layout = struct.Struct(f"<{ring.nvars}H")  # little-endian 16-bit exponent fields
     pack, unpack, width = layout.pack, layout.unpack, layout.size
     total: dict = {}
+    den = 1  # the denominator of total's numerators
     for f_terms, g_terms in factors:
-        g_packed = [(int.from_bytes(pack(*m), "little"), c) for m, c in g_terms.items()]
+        f_nums, f_den = _numerators(f_terms, p)
+        g_nums, g_den = _numerators(g_terms, p)
+        g_packed = [(int.from_bytes(pack(*m), "little"), c) for m, c in g_nums]
         product: dict = {}
         get, pop = product.get, product.pop
-        for m1, c1 in f_terms.items():
+        for m1, c1 in f_nums:
             k1 = int.from_bytes(pack(*m1), "little")
             for k2, c2 in g_packed:
                 k = k1 + k2
-                s = get(k, zero) + c1 * c2
+                s = get(k, 0) + c1 * c2
                 if p:
                     s %= p
                 if s:
                     product[k] = s
                 else:
                     pop(k, None)
-        total = _merge(total, product, field) if total else product
+        product_den = f_den * g_den
+        if not total:
+            total, den = product, product_den
+            continue
+        if product_den != den:
+            common = lcm(den, product_den)
+            for k in total:
+                total[k] *= common // den
+            product = {k: c * (common // product_den) for k, c in product.items()}
+            den = common
+        _merge(total, product, p)
+    if not p:
+        total = {k: Fraction(c, den) for k, c in total.items()}
     return Polynomial(ring, {unpack(k.to_bytes(width, "little")): c for k, c in total.items()})
 
 
@@ -619,18 +652,28 @@ CERTIFICATE_LINES: Tuple[Line, ...] = (
 
 def restrict_to_line(f: Polynomial, line: Line) -> univariate.Coeffs:
     """f(p + t*q) in ascending powers of t, padded to deg f + 1 entries, so
-    the last entry is f's top-degree part at q; [] for the zero form."""
-    field = f.ring.field
-    out = [field.zero()] * (f.degree() + 1)
-    linear = [[field.of_int(a), field.of_int(b)] for a, b in zip(*line)]
-    for exp, c in f.terms.items():
+    the last entry is f's top-degree part at q; [] for the zero form.
+
+    Summed in ints: each term's numerator times the binomial rows of
+    (p_i + t*q_i)^e for its exponents, then reduced mod p once, or divided
+    once by the common denominator over Q."""
+    p = f.ring.field.characteristic
+    n = f.degree() + 1
+    powers = [[[comb(e, k) * a ** (e - k) * b**k for k in range(e + 1)] for e in range(n)] for a, b in zip(*line)]
+    nums, den = _numerators(f.terms, p)
+    out = [0] * n
+    for exp, c in nums:
         term = [c]
-        for lin, e in zip(linear, exp):
-            for _ in range(e):
-                term = univariate.mul(term, lin, field)
-        for k, a in enumerate(term):
-            out[k] = field.add(out[k], a)
-    return out
+        for rows, e in zip(powers, exp):
+            if e:
+                prod = [0] * (len(term) + e)
+                for i, x in enumerate(term):
+                    for j, y in enumerate(rows[e]):
+                        prod[i + j] += x * y
+                term = prod
+        for k, x in enumerate(term):
+            out[k] += x
+    return [x % p for x in out] if p else [Fraction(x, den) for x in out]
 
 
 def _padded(f: univariate.Coeffs, length: int, field: FieldSpec) -> univariate.Coeffs:

@@ -283,6 +283,22 @@ def seed_dot(us, vs, ring):
     return total
 
 
+def seed_restrict_to_line(f, line):
+    """The earlier ``poly.restrict_to_line``: one univariate product by a
+    linear factor per unit of each exponent of each term, by field methods."""
+    field = f.ring.field
+    out = [field.zero()] * (f.degree() + 1)
+    linear = [[field.of_int(a), field.of_int(b)] for a, b in zip(*line)]
+    for exp, c in f.terms.items():
+        term = [c]
+        for lin, e in zip(linear, exp):
+            for _ in range(e):
+                term = univariate.mul(term, lin, field)
+        for k, a in enumerate(term):
+            out[k] = field.add(out[k], a)
+    return out
+
+
 def matmul_poly(a, b, ring):
     """The earlier polynomial-matrix product."""
     out = []

@@ -218,6 +218,39 @@ def test_echelon_contains_matches_pivot_loop(field):
     assert not zero.contains([field.one()] + [field.zero()] * (n - 1))
 
 
+def test_echelon_reduce_over_q_matches_the_full_product():
+    # only the rows of nonzero pivot entries enter the residual; it equals
+    # vec - vec[pivots] . rows entry for entry, Fractions throughout
+    rng = DetRng(12)
+
+    def frac():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+
+    m, n, r = 10, 24, 6
+    a = linalg.matmul([[frac() for _ in range(r)] for _ in range(m)], [[frac() for _ in range(n)] for _ in range(r)], QQ)
+    ech = linalg.Echelon(a, QQ)
+    assert len(ech.pivots) >= 2
+    for case in range(6):
+        v = np.array([frac() for _ in range(n)], dtype=object)
+        v[ech.pivots[case % 2 :: 2] if case < 4 else ech.pivots] = Fraction(0)
+        full = v - v[ech.pivots].dot(ech.rows)
+        got = ech.reduce(v)
+        assert got.tolist() == full.tolist() and [type(c) for c in got] == [type(c) for c in full]
+        assert not got[ech.pivots].any()
+        if case >= 4:
+            assert got.tolist() == v.tolist()
+
+
+def test_rational_inverse_is_exact():
+    inverse, quotient = QQ.inv(3), QQ.div(QQ.of_int(2), 3)
+    assert (inverse, quotient) == (Fraction(1, 3), Fraction(2, 3))
+    assert type(inverse) is Fraction and type(quotient) is Fraction
+    assert QQ.inv(Fraction(-2, 5)) == Fraction(-5, 2)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(zero)
+
+
 # -- the row rank profile -------------------------------------------------------
 
 

@@ -34,6 +34,7 @@ from conftest import (
     seed_add,
     seed_dot,
     seed_product,
+    seed_restrict_to_line,
 )
 
 
@@ -218,23 +219,63 @@ dense_terms_st = st.dictionaries(
 )
 
 
+# the same monomials with coefficients n/d, d in 1..6: over Q the factors of
+# a dot differ in denominator, so its running sum is rescaled
+fraction_terms_st = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0)),
+    st.tuples(st.integers(-3, 3), st.integers(1, 6)),
+    max_size=8,
+)
+
+
+def build_fractions(ring, terms):
+    """Coefficients n/d; over GF(p) n alone where p divides d."""
+    field = ring.field
+    return ring.from_terms(
+        {m: field.of_int(n) if field.p and d % field.p == 0 else field.of_fraction(n, d) for m, (n, d) in terms.items()}
+    )
+
+
 def same_terms(f, g):
     return f == g and list(f.terms.items()) == list(g.terms.items())
 
 
+def assert_field_scalars(values, field):
+    """Fractions over Q; ints in [0, p) over GF(p)."""
+    if field.p:
+        assert all(type(c) is int and 0 <= c < field.p for c in values)
+    else:
+        assert all(type(c) is Fraction for c in values)
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
 @settings(max_examples=80, deadline=None)
-@given(pairs=st.lists(st.tuples(dense_terms_st, dense_terms_st), max_size=4))
+@given(pairs=st.lists(st.tuples(fraction_terms_st, fraction_terms_st), max_size=4))
 def test_dot_matches_earlier_products_and_sums(field, pairs):
     # values and term order of the earlier loop: each pair summed with a
     # delete on cancel, each product added with the earlier +
     ring = PolyRing(field=field)
-    us = [build(ring, a) for a, _ in pairs]
-    vs = [build(ring, b) for _, b in pairs]
-    assert same_terms(poly.dot(us, vs, ring), seed_dot(us, vs, ring))
+    us = [build_fractions(ring, a) for a, _ in pairs]
+    vs = [build_fractions(ring, b) for _, b in pairs]
+    total = poly.dot(us, vs, ring)
+    assert same_terms(total, seed_dot(us, vs, ring))
+    assert_field_scalars(total.terms.values(), field)
     for f, g in zip(us, vs):
         assert same_terms(f * g, seed_product(f, g))
         assert same_terms(f + g, seed_add(f, g))
+        assert_field_scalars((f * g).terms.values(), field)
+        assert_field_scalars((f + g).terms.values(), field)
+
+
+def test_dot_rescales_the_running_sum_over_q(R):
+    # products over 2, 6 and 5: x0^2 cancels once the sum is over 6, and the
+    # third product, over 30, appends it again after the other terms
+    us = [P("1/2*x0 + x1", R), P("-1/3*x0", R), P("1/5*x0", R)]
+    vs = [P("x0 + 1/3*x2", R), P("3/2*x0", R), P("x0", R)]
+    total = poly.dot(us, vs, R)
+    assert same_terms(total, seed_dot(us, vs, R))
+    assert list(total.terms)[-1] == (2, 0, 0, 0, 0) and total.terms[(2, 0, 0, 0, 0)] == Fraction(1, 5)
+    assert_field_scalars(total.terms.values(), QQ)
 
 
 @pytest.mark.parametrize(
@@ -263,6 +304,7 @@ def test_neg_and_scale_match_field_operations(field, t, c):
     f = build(ring, t)
     c = field.of_int(c)
     assert list((-f).terms.items()) == [(m, field.neg(v)) for m, v in f.terms.items()]
+    assert_field_scalars((-f).terms.values(), field)
     want = [(m, field.mul(c, v)) for m, v in f.terms.items()] if c else []
     assert list(f.scale(c).terms.items()) == want
 
@@ -368,6 +410,36 @@ def test_restrict_to_line_is_the_form_on_the_line(R):
         assert univariate.evaluate(g, Fraction(t), QQ) == f.evaluate(point)
     assert g[-1] == f.evaluate(line[1])  # the top coefficient is f at q
     assert restrict_to_line(R.zero(), line) == []
+
+
+def same_restriction(f, line):
+    """restrict_to_line against the earlier loop: equal lists, equal types."""
+    new, old = restrict_to_line(f, line), seed_restrict_to_line(f, line)
+    assert new == old and [type(c) for c in new] == [type(c) for c in old]
+    assert_field_scalars(new, f.ring.field)
+    return new
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
+@settings(max_examples=30, deadline=None)
+@given(t=st.dictionaries(expvec_st, st.tuples(st.integers(-3, 3), st.integers(1, 6)), max_size=6))
+def test_restrict_to_line_matches_earlier_loop(field, t):
+    f = build_fractions(PolyRing(field=field), t)
+    for line in CERTIFICATE_LINES:
+        assert len(same_restriction(f, line)) == f.degree() + 1
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_FIELD_IDS)
+@pytest.mark.parametrize("line", CERTIFICATE_LINES, ids=["line0", "line1", "line2"])
+def test_restrict_to_line_of_zero_and_of_a_form_vanishing_at_q(field, line):
+    ring = PolyRing(field=field)
+    assert same_restriction(ring.zero(), line) == []
+    q = [field.of_int(c) for c in line[1]]
+    h = ring.linear_form([q[1], field.neg(q[0]), field.zero(), field.zero(), field.zero()])
+    g = build_fractions(ring, {(2, 0, 0, 0, 0): (1, 2), (0, 1, 0, 1, 0): (-2, 3), (0, 0, 0, 0, 2): (5, 6), (1, 0, 1, 0, 0): (3, 1)})
+    # h vanishes at q, so the cubic h*g has its top part zero there
+    restricted = same_restriction(h * g, line)
+    assert len(restricted) == 4 and restricted[-1] == 0 and any(restricted)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=["Q", "GF"])
