@@ -11,9 +11,10 @@ both maps have the maximal minors of A, up to sign.  This module checks
 Buchsbaum-Eisenbud acyclicity from that one Fitting ideal I_{n+1}(A), its
 grade certified on a line when it can be and computed otherwise, reads the
 surface invariants off the Hilbert resolution, decides the ring condition
-(saturated Fitting-ideal equality), produces the Cramer multiplication
-table of the cokernel algebra, and runs the generic graded-exactness
-experiment behind the reflexivity remark.
+(saturated Fitting-ideal equality) in the point algebra of the degeneracy
+scheme, produces the Cramer multiplication table of the cokernel algebra,
+and runs the generic graded-exactness experiment behind the reflexivity
+remark.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .ideals import (
     Ideal,
     codimension,
     ideal_equal,
-    same_hilbert_polynomial,
 )
 from .poly import Polynomial, PolyRing, coprime_on_a_line, graded_basis, graded_map, graded_piece, poly_matmul
 from .tableau import (
@@ -202,11 +202,16 @@ class RingConditionReport:
     reason: Optional[str]
     saturated_equal: Optional[bool]
     unsaturated_equal: Optional[bool]  # n = 2 only
-    sat_aprime: Optional[Ideal]
+    scheme: Optional[DegeneracyScheme]
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
+
+    @property
+    def sat_aprime(self) -> Optional[Ideal]:
+        """bar I_n(A'), the scheme's saturated ideal, computed on first read."""
+        return None if self.scheme is None else self.scheme.ideal
 
 
 def ring_condition_check(
@@ -218,8 +223,9 @@ def ring_condition_check(
 
     Skipped (with the reason) unless the degeneracy scheme is a finite set
     of reduced points, the hypothesis under which the saturated equality
-    encodes the multiplicative structure.  bar I_n(A') is the scheme's
-    ideal, saturated once by ``degeneracy_scheme``.
+    encodes the multiplicative structure.  I_n(A) is I_n(A') plus the n x n
+    minors through row 0, so the saturations agree exactly when each such
+    minor has class zero in the scheme's point algebra.
     """
     if scheme is None:
         scheme = degeneracy_scheme(T)
@@ -227,17 +233,31 @@ def ring_condition_check(
         return RingConditionReport("skipped", "degeneracy scheme not finite", None, None, None)
     if not scheme.reduced:
         return RingConditionReport("skipped", "degeneracy scheme not reduced", None, None, None)
-    n = T.n
-    I_a = fitting_ideal(T.minors(), n)
-    sat_aprime = scheme.ideal
-    unsat_eq = ideal_equal(I_a, fitting_ideal(T.minors(), n, rows=range(1, n + 1))) if n == 2 else None
-    # I_n(A') is inside I_n(A): its minors, on rows 1..n, are among those on
-    # all rows.  Two saturated ideals, one inside the other, are equal iff
-    # their Hilbert polynomials are, and I_n(A) has its saturation's.  Equal
-    # ideals have equal saturations, so a true unsaturated identity decides it.
-    sat_eq = unsat_eq or same_hilbert_polynomial(I_a, sat_aprime)
+    n, algebra, field = T.n, scheme.algebra, T.ring.field
+    minors = T.minors()
+    # read from I_n(A') itself, the algebra certifies I_n(A')_{n+2} saturated:
+    # then the unsaturated identity is the saturated one
+    certified = algebra.ideal is scheme.fitting
+    unsat_eq = ideal_equal(fitting_ideal(minors, n), scheme.fitting) if n == 2 and not certified else None
+    if not unsat_eq:
+        # a minor through row 0, expanded along it: the operators of the
+        # cubics applied to the classes of the (n-1)-minors of A'
+        first = algebra.operators(T.row(0), 3)
+        subs = [(r, c) for r in combinations(range(1, n + 1), n - 1) for c in combinations(range(2 * n + 2), n - 1)]
+        sub = dict(zip(subs, algebra.classes([minors(r, c) for r, c in subs], n - 1)))
+        classes = [
+            sum(
+                (-1) ** i * linalg.vecmat(first[c], sub[r, cols[:i] + cols[i + 1 :]], field)
+                for i, c in enumerate(cols)
+            )
+            for r in combinations(range(1, n + 1), n - 1)
+            for cols in combinations(range(2 * n + 2), n)
+        ]
+    sat_eq = unsat_eq or not any((v % field.p if field.p else v).any() for v in classes)
+    if n == 2 and certified:
+        unsat_eq = sat_eq
     ok = sat_eq and (unsat_eq is not False)
-    return RingConditionReport("pass" if ok else "fail", None, sat_eq, unsat_eq, sat_aprime)
+    return RingConditionReport("pass" if ok else "fail", None, sat_eq, unsat_eq, scheme)
 
 
 def conductor_ideal(

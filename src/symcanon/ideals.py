@@ -1,6 +1,9 @@
 """Homogeneous ideal arithmetic: Groebner bases, quotients, saturation,
 dimension, degree, and the analysis of point schemes (reducedness and the
 distinct-point count, from the rank of the trace form; no random draws).
+A point scheme's algebra (``PointAlgebra``) is read from two pieces that
+equal the saturation's: over GF(p) an ideal's own, once a regularity
+certificate (``regular_length``) holds, with no Groebner basis.
 
 Everything public here assumes homogeneous input; this matches the graded
 setting of the geometry.  A question about one degree d (membership, normal
@@ -20,13 +23,14 @@ the result; the test suite checks it against the iterated quotient.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations, zip_longest
 from math import gcd
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import linalg
 from .errors import BudgetExceededError, ContractError, DegreeOverflowError, RingMismatchError
@@ -620,7 +624,8 @@ def multiplicity(I: Ideal) -> int:
     if sat.contains_one():
         return 0
     c, value = _numerator_at_one(sat)
-    assert c == I.ring.nvars - dimension(sat)
+    if c != I.ring.nvars - dimension(sat):
+        raise ContractError(f"Hilbert numerator vanishes to order {c} at 1, not the codimension")
     return value
 
 
@@ -637,47 +642,125 @@ def _standard_monomials(I: Ideal, m: int) -> List[Monomial]:
     return [mono for j, mono in enumerate(graded_basis(I.ring, m)) if j not in pivots]
 
 
-@dataclass
-class ZeroDimAnalysis:
-    reduced: bool
-    points: int
-    length: int
-    saturated: Ideal
-
-
-def _multiplication_operator(sat: Ideal, form: Polynomial, source: List[Monomial], target: List[Monomial]):
+def _multiplication_operator(J: Ideal, form: Polynomial, source: List[Monomial], target: List[Monomial]):
     """Matrix of x^m -> NF(x^m * form): rows the target basis, columns the
     source basis, all source monomials of one degree m.  Each normal form is
-    the residue of the row x^m * form against sat's degree-(m+1) piece."""
-    ring = sat.ring
+    the residue of the row x^m * form against J's degree-(m+1) piece."""
+    ring = J.ring
     m = sum(source[0])
     scalar = int if ring.field.characteristic else Fraction
     rows = graded_piece([form], m + 1, ring, m)
     row = {mono: i for i, mono in enumerate(graded_basis(ring, m))}
     col = {mono: i for i, mono in enumerate(graded_basis(ring, m + 1))}
-    residues = [sat.piece(m + 1).reduce(rows[row[mono]]) for mono in source]
+    residues = [J.piece(m + 1).reduce(rows[row[mono]]) for mono in source]
     return [[scalar(r[col[mono]]) for r in residues] for mono in target]
 
 
-def zero_dim_analysis(I: Ideal) -> ZeroDimAnalysis:
-    """Reducedness and distinct-point count for a projective 0-dimensional I.
+def _trial_forms(ring: PolyRing, e: int) -> List[Polynomial]:
+    """l_c = sum_i c^i x_i for 0 <= c < min(p, (nvars - 1) e + 1): at each
+    of e points l_c is a nonzero polynomial of degree < nvars in c, so one
+    of these forms misses them all."""
+    field = ring.field
+    bound = (ring.nvars - 1) * e + 1
+    bound = min(bound, field.characteristic or bound)
+    return [ring.linear_form([field.of_int(c**i) for i in range(ring.nvars)]) for c in range(bound)]
 
-    Works entirely with graded pieces.  In a stable degree m the quotient
-    by the saturation has dimension equal to the scheme length e, and for a
-    form h that vanishes at no point, M_h^-1 M_{x_k} acts on it as the
-    function x_k/h.  The words of degree m in these operators span the
-    algebra of the points, and the rank of its trace form Tr(xy) is the
-    number of distinct geometric points (Hermite; the characteristic
-    exceeds every multiplicity, since it exceeds e).  The scheme is
-    reduced exactly when that rank is e.
+
+def regular_length(I: Ideal, m: int) -> Optional[int]:
+    """Over GF(p), HF_{R/I}(m) > 0 for I generated in degree m, when a trial
+    form l certifies that I is m-regular, so I_t = sat(I)_t for t >= m and
+    the scheme is finite of that length (Bayer-Stillman, Invent. Math. 87,
+    1987, Thm 1.10); None otherwise, and over Q.  (I + l)_m = R_m makes l
+    map (R/I)_t onto (R/I)_{t+1} for t >= m; then (I : l)_m = I_m, l one to
+    one from (R/I)_m, is HF(m + 1) = HF(m).
     """
+    ring, field = I.ring, I.ring.field
+    if not field.characteristic or any(g.degree() != m for g in I.generators):
+        return None
+    e = hilbert_function(I, m)
+    if e == 0 or hilbert_function(I, m + 1) != e:  # the colon test, for every l
+        return None
+    full = len(graded_basis(ring, m))
+    for l in _trial_forms(ring, e):
+        if linalg.rank(np.vstack([I.piece(m).rows, graded_piece([l], m, ring)]), field) == full:
+            return e
+    return None
+
+
+class PointAlgebra:
+    """The functions on a finite scheme of length e, read in degree m of an
+    ideal J with J_t = sat(J)_t and HF_{R/J}(t) = e for t = m, m + 1.
+
+    For a form h that vanishes at no point (M_h of rank e), theta_k =
+    M_h^-1 M_{x_k} is multiplication by x_k/h on (R/J)_m, and sum_a f_a
+    theta^a by f/h^d for f of degree d.  The rank of the trace form
+    Tr(x^s x^t/h^2m), s and t over the standard monomials of degree m, is
+    the number of distinct geometric points (Hermite; p > e exceeds every
+    multiplicity).  The class of f, its operator applied to 1 = h^m/h^m, is
+    zero exactly when f lies in sat(J), as h is a nonzerodivisor there.
+    """
+
+    def __init__(self, J: Ideal, m: int, e: int):
+        ring, field, p = J.ring, J.ring.field, J.ring.field.characteristic
+        if p and p <= e:
+            raise ContractError(f"characteristic {p} too small for the trace form of a length-{e} scheme")
+        source = _standard_monomials(J, m)
+        target = _standard_monomials(J, m + 1)
+        if len(source) != e or len(target) != e:
+            raise ContractError(
+                f"point algebra: HF {len(source)}, {len(target)} in degrees {m}, {m + 1}, not the length {e}"
+            )
+        forms = _trial_forms(ring, e)
+        for h in forms:
+            Mh = _multiplication_operator(J, h, source, target)
+            if linalg.rank(Mh, field) == e:
+                break
+        else:
+            raise BudgetExceededError(
+                f"every form sum_i c^i x_i with 0 <= c < {len(forms)} vanishes at a point of the scheme"
+            )
+        Mh_inv = linalg.inverse(Mh, field)
+        theta = [linalg.matmul(Mh_inv, _multiplication_operator(J, x, source, target), field) for x in ring.gens()]
+        dtype = np.int64 if p else object
+        self.ideal, self.degree, self._theta = J, m, np.array(theta, dtype=dtype)
+        self._operators = {(0,) * ring.nvars: np.eye(e, dtype=dtype)}
+        col = {mono: j for j, mono in enumerate(graded_basis(ring, m))}
+        self._one = J.piece(m).reduce(graded_piece([h**m], m, ring, 0)[0])[[col[s] for s in source]]
+        gram = [[np.trace(self._operator(tuple(map(add, s, t)))) for t in source] for s in source]
+        r = linalg.rank(gram, field)
+        self.reduced, self.points, self.length = r == e, r, e
+
+    def _operator(self, a: Monomial) -> np.ndarray:
+        """theta^a = theta_k theta^b, x_k the first variable of x^a = x_k x^b."""
+        if a not in self._operators:
+            k = next(i for i, x in enumerate(a) if x)
+            b = a[:k] + (a[k] - 1,) + a[k + 1 :]
+            self._operators[a] = linalg.vecmat(self._theta[k], self._operator(b), self.ideal.ring.field)
+        return self._operators[a]
+
+    def operators(self, forms: Sequence[Polynomial], d: int) -> np.ndarray:
+        """Multiplication by f/h^d, sum_a f_a theta^a, for each form f of
+        degree d (zero allowed): an array of e x e matrices."""
+        ring = self.ideal.ring
+        table = np.array([self._operator(a) for a in graded_basis(ring, d)])
+        flat = linalg.vecmat(graded_piece(forms, d, ring, 0), table.reshape(len(table), -1), ring.field)
+        return flat.reshape(len(forms), *table.shape[1:])
+
+    def classes(self, forms: Sequence[Polynomial], d: int) -> np.ndarray:
+        """The classes of forms of degree d (zero allowed), one row each:
+        their operators applied to 1."""
+        e = len(self._one)
+        ops = self.operators(forms, d).reshape(len(forms) * e, e)
+        return linalg.vecmat(ops, self._one, self.ideal.ring.field).reshape(len(forms), e)
+
+
+def zero_dim_analysis(I: Ideal) -> PointAlgebra:
+    """The point algebra of a projective 0-dimensional I's saturation."""
     return _zero_dim_saturated(saturate(I))
 
 
-def _zero_dim_saturated(sat: Ideal) -> ZeroDimAnalysis:
+def _zero_dim_saturated(sat: Ideal) -> PointAlgebra:
     """zero_dim_analysis of an ideal that is already saturated."""
-    ring = sat.ring
-    field = ring.field
     if not sat.generators or sat.contains_one():
         raise ContractError("zero-dimensional analysis: empty projective scheme")
     if dimension(sat) != 1:
@@ -685,51 +768,10 @@ def _zero_dim_saturated(sat: Ideal) -> ZeroDimAnalysis:
             f"zero-dimensional analysis: projective dimension is {dimension(sat) - 1}, not 0"
         )
     _, e = _numerator_at_one(sat)
-    p = field.characteristic
-    if p and p <= e:
-        raise ContractError(f"characteristic {p} too small for the trace form of a length-{e} scheme")
-
     m = 0
     guard = 4 * e + 8
     while hilbert_function(sat, m) != e:
         m += 1
         if m > guard:
             raise BudgetExceededError("Hilbert function of a point scheme did not stabilize")
-    source = _standard_monomials(sat, m)
-    target = _standard_monomials(sat, m + 1)
-    assert len(source) == e and len(target) == e
-
-    # h = l_c = sum_i c^i x_i: at each point l_c is a nonzero polynomial of
-    # degree at most nvars - 1 in c, so some c below (nvars - 1) e + 1
-    # misses them all
-    c_bound = (ring.nvars - 1) * e + 1
-    if p:
-        c_bound = min(p, c_bound)
-    for c in range(c_bound):
-        h = ring.linear_form([field.of_int(c**i) for i in range(ring.nvars)])
-        Mh = _multiplication_operator(sat, h, source, target)
-        if linalg.rank(Mh, field) == e:
-            break
-    else:
-        raise BudgetExceededError(
-            f"every form sum_i c^i x_i with 0 <= c < {c_bound} vanishes at a point of the scheme"
-        )
-    Mh_inv = linalg.inverse(Mh, field)
-    theta = {
-        k: linalg.matmul(Mh_inv, _multiplication_operator(sat, ring.variable(k), source, target), field)
-        for k in range(ring.nvars)
-        if any(s[k] for s in source)
-    }
-    words = []
-    for s in source:
-        W = linalg.identity(e, field)
-        for k, op in theta.items():
-            for _ in range(s[k]):
-                W = linalg.matmul(W, op, field)
-        words.append(W)
-    # Tr(W_s W_t) = sum_ij (W_s)_ij (W_t)_ji: row s of W_s flattened
-    # against column t of W_t transposed and flattened
-    flat = [[x for row in W for x in row] for W in words]
-    flat_t = [[x for row in linalg.transpose(W) for x in row] for W in words]
-    r = linalg.rank(linalg.matmul(flat, linalg.transpose(flat_t), field), field)
-    return ZeroDimAnalysis(r == e, r, e, sat)
+    return PointAlgebra(sat, m, e)

@@ -54,7 +54,7 @@ def _mm(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     step = _INT64_MAX // (p - 1) ** 2
     if x.shape[1] <= step:
         return np.remainder(x @ y, p)
-    out = np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
+    out = np.zeros(x.shape[:1] + y.shape[1:], dtype=np.int64)
     for s in range(0, x.shape[1], step):
         out += np.remainder(x[:, s : s + step] @ y[s : s + step], p)
     return np.remainder(out, p, out=out)
@@ -301,10 +301,11 @@ def solve_particular(rows: Matrix, rhs: Sequence[Scalar], field: FieldSpec) -> O
 
 
 def vecmat(x: np.ndarray, y: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """The row vector x times the matrix y, both residues mod p over GF(p)
+    """x times y, each a vector or a matrix, both residues mod p over GF(p)
     (int64) or field scalars (object arrays) over Q."""
     if _is_modp(field):
-        return _mm(x.reshape(1, -1), y, field.p)[0]
+        out = _mm(np.atleast_2d(x), y, field.p)
+        return out if x.ndim > 1 else out[0]
     return x.dot(y)
 
 

@@ -7,6 +7,8 @@ symmetry alpha beta^t = beta alpha^t.  The six symmetry-preserving moves
 and pair rotations) act on it; together they realize the PGl x PSp action.
 Each tableau holds one lazily filled table of the minors of A (``Minors``):
 every Fitting ideal, Cramer numerator and block determinant is a read of it.
+The degeneracy scheme of A' is read, over GF(p), from two pieces of I_n(A')
+once a regularity certificate holds, and from its saturation otherwise.
 Scalar tableaux (the n x (2n+2) degree-0 analogue) share the same move
 engine.  A column move becomes an action in one place, ``act_on_columns``;
 its symplectic scalar matrix is that action on the identity.
@@ -15,6 +17,7 @@ its symplectic scalar matrix is that action on the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,8 +26,10 @@ from .errors import ContractError
 from .fields import Scalar
 from .ideals import (
     Ideal,
+    PointAlgebra,
     _zero_dim_saturated,
     dimension,
+    regular_length,
     saturate,
 )
 from .poly import Polynomial, PolyRing, dot
@@ -448,28 +453,40 @@ def erase_first_row(T: SymmetricTableau) -> PolyMatrix:
 
 @dataclass
 class DegeneracyScheme:
-    ideal: Ideal  # saturated I_n(A')
+    """The nonnormal locus, the scheme of I_n(A'), and its point algebra
+    when finite and nonempty; ``ideal``, the saturation, on first read."""
+
+    fitting: Ideal  # I_n(A')
     finite: bool
     reduced: Optional[bool]
     points: Optional[int]
     length: Optional[int] = None
+    algebra: Optional[PointAlgebra] = None
+
+    @cached_property
+    def ideal(self) -> Ideal:
+        return saturate(self.fitting)
 
 
 def degeneracy_scheme(T: SymmetricTableau) -> DegeneracyScheme:
-    """Saturated I_n(A') together with finiteness, reducedness and the
-    distinct-point count; the nonnormal locus of the surface."""
+    """The degeneracy scheme of A', with no Groebner basis over GF(p) when a
+    form certifies that I_n(A') is n-regular (``regular_length``); from the
+    saturation otherwise, and over Q."""
     I = fitting_ideal(T.minors(), T.n, rows=range(1, T.n + 1))
+    e = regular_length(I, T.n)
+    if e is not None:
+        algebra = PointAlgebra(I, T.n, e)
+        return DegeneracyScheme(I, True, algebra.reduced, algebra.points, e, algebra)
     sat = saturate(I)
-    if not sat.generators:
-        # rank drops everywhere: the whole projective space degenerates
-        return DegeneracyScheme(sat, False, None, None)
-    if sat.contains_one():
-        return DegeneracyScheme(sat, True, None, 0, 0)
-    dim = dimension(sat)
-    if dim > 1:
-        return DegeneracyScheme(sat, False, None, None)
-    analysis = _zero_dim_saturated(sat)
-    return DegeneracyScheme(sat, True, analysis.reduced, analysis.points, analysis.length)
+    if dimension(sat) > 1:  # the zero ideal too: rank drops everywhere
+        scheme = DegeneracyScheme(I, False, None, None)
+    elif sat.contains_one():
+        scheme = DegeneracyScheme(I, True, None, 0, 0)
+    else:
+        algebra = _zero_dim_saturated(sat)
+        scheme = DegeneracyScheme(I, True, algebra.reduced, algebra.points, algebra.length, algebra)
+    scheme.ideal = sat  # the saturation is at hand: no second one on read
+    return scheme
 
 
 # -- scalar tableaux -------------------------------------------------------------

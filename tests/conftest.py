@@ -16,18 +16,21 @@ from symcanon.ideals import (
     _numerator_at_one,
     _Packing,
     _standard_monomials,
+    _zero_dim_saturated,
+    dimension,
     groebner_basis,
     hilbert_function,
     ideal_equal,
     ideal_intersection,
     ideal_quotient,
+    same_hilbert_polynomial,
     saturate,
 )
 from symcanon.koszul import RegularSequence, solve_skew
 from symcanon.orders import GREVLEX, monomial_divides
 from symcanon.paramgen import realize, sample
 from symcanon.poly import PolyRing, Polynomial, graded_basis, graded_piece
-from symcanon.tableau import OpMove, SymmetricTableau
+from symcanon.tableau import OpMove, SymmetricTableau, fitting_ideal
 
 GOLDEN_SEEDS = (0, 1, 2, 3, 5, 7)
 # seeds whose tableau over Q verifies PASS (seed 1 fails the regularity
@@ -377,6 +380,43 @@ def seeded_zero_dim(I):
     if saw_non_squarefree:
         return False, best, e
     raise BudgetExceededError("degenerate eliminants in all seeded attempts")
+
+
+def _groebner_scheme(T):
+    """The earlier degeneracy scheme by saturation: the verdict (finite,
+    reduced, points, length) and the saturated ideal."""
+    sat = saturate(fitting_ideal(T.minors(), T.n, rows=range(1, T.n + 1)))
+    if not sat.generators:
+        return (False, None, None, None), sat
+    if sat.contains_one():
+        return (True, None, 0, 0), sat
+    if dimension(sat) > 1:
+        return (False, None, None, None), sat
+    algebra = _zero_dim_saturated(sat)
+    return (True, algebra.reduced, algebra.points, algebra.length), sat
+
+
+def groebner_degeneracy_scheme(T):
+    """The oracle for ``tableau.degeneracy_scheme``: (finite, reduced,
+    points, length) from the saturation, with no regularity certificate."""
+    return _groebner_scheme(T)[0]
+
+
+def groebner_ring_condition(T):
+    """The earlier ring condition: (status, reason, saturated_equal,
+    unsaturated_equal), the saturated equality decided by Hilbert
+    polynomials.  The oracle for ``canonical.ring_condition_check``."""
+    (finite, reduced, _, _), sat_aprime = _groebner_scheme(T)
+    if not finite:
+        return "skipped", "degeneracy scheme not finite", None, None
+    if not reduced:
+        return "skipped", "degeneracy scheme not reduced", None, None
+    n = T.n
+    I_a = fitting_ideal(T.minors(), n)
+    unsat_eq = ideal_equal(I_a, fitting_ideal(T.minors(), n, rows=range(1, n + 1))) if n == 2 else None
+    sat_eq = unsat_eq or same_hilbert_polynomial(I_a, sat_aprime)
+    ok = sat_eq and (unsat_eq is not False)
+    return "pass" if ok else "fail", None, sat_eq, unsat_eq
 
 
 def _minimal_polynomial(theta, field):

@@ -42,7 +42,16 @@ from symcanon import canonical, ideals, linalg, poly, tableau
 from symcanon.paramgen import realize, sample
 from symcanon.poly import PolyRing, coprime_on_a_line, graded_basis, graded_piece, parse_poly
 from symcanon.serialize import render_report, tableau_from_json, tableau_to_json
-from symcanon.tableau import Minors, SymmetricTableau, check_symmetry, degeneracy_scheme, fitting_ideal
+from symcanon.normalform import reduce_k11, verify_normal_shape
+from symcanon.tableau import (
+    Minors,
+    SymmetricTableau,
+    apply_op_word,
+    check_symmetry,
+    degeneracy_scheme,
+    fitting_ideal,
+    rows_move,
+)
 
 from conftest import (
     GOLDEN_SEEDS,
@@ -51,10 +60,13 @@ from conftest import (
     coeff_matrix,
     cramer_solve,
     cramer_system,
+    groebner_degeneracy_scheme,
+    groebner_ring_condition,
     k2_10_fixture,
     matmul_poly,
     matrix_minor,
     random_linear,
+    random_move_word,
 )
 
 
@@ -342,17 +354,116 @@ def _ring_condition_by_saturation(T):
     return ideal_equal(scheme.ideal, saturate(fitting_ideal(T.minors(), T.n)))
 
 
+def _perturbed(T):
+    # a cubic added to the first row changes I_n(A) but not I_n(A')
+    T = copy.deepcopy(T)
+    T.alpha[0][0] = T.alpha[0][0] + T.ring.variable(4) ** 3
+    return T
+
+
 def test_saturated_equal_matches_saturating_both(golden_tableaux):
     T10 = k2_10_fixture(GF(DEFAULT_PRIME))
-    # a cubic added to the first row changes I_n(A) but not I_n(A')
-    perturbed = copy.deepcopy(golden_tableaux[0])
-    perturbed.alpha[0][0] = perturbed.alpha[0][0] + perturbed.ring.variable(4) ** 3
     verdicts = []
-    for T in golden_tableaux + [T10, perturbed]:
+    for T in golden_tableaux + [T10, _perturbed(golden_tableaux[0])]:
         rc = ring_condition_check(T)
         assert rc.saturated_equal is _ring_condition_by_saturation(T)
         verdicts.append(rc.saturated_equal)
     assert verdicts == [True] * (len(golden_tableaux) + 1) + [False]
+
+
+def _gf5_reduce_input():
+    # the scrambled input of test_reduce_k11_over_gf5
+    field = GF(5)
+    word = [rows_move([[1, 0, 0], [0, 1, 2], [0, 1, 1]])] + random_move_word(DetRng(1700), 20, 3, field)
+    return apply_op_word(realize(sample(0, field)), word)
+
+
+def _certified(scheme):
+    """Whether the scheme's point algebra was read from I_n(A') itself."""
+    return scheme.algebra is not None and scheme.algebra.ideal is scheme.fitting
+
+
+LARGEST_PRIME = 3037000493
+ROUTE_CASES = [f"gf-{s}" for s in GOLDEN_SEEDS] + [
+    "k2_10-gf",
+    "gf7-4",
+    "gf7-11",
+    "gfmax-0",
+    "gf5-reduce",
+    "alpha_is_beta",
+    "perturbed",
+]
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_certified_route_matches_the_groebner_route(golden_tableaux, case):
+    # the degeneracy scheme and the ring condition against the saturating
+    # route kept in conftest.  Every input but the alpha = beta mutant is
+    # certified n-regular; the perturbed one fails the ring condition
+    kind, _, arg = case.partition("-")
+    if kind == "gf7":
+        T = realize(sample(int(arg), GF(7)))
+    elif kind == "gfmax":
+        # the largest admitted prime: (p - 1)^2 just below 2^63, so every
+        # product of residues is reduced before a second one is added
+        T = realize(sample(int(arg), GF(LARGEST_PRIME)))
+    elif kind == "gf5":
+        T = _gf5_reduce_input()
+    elif kind == "perturbed":
+        T = _perturbed(golden_tableaux[0])
+    else:
+        T = _pool_tableau(golden_tableaux, case)
+    scheme = degeneracy_scheme(T)
+    rc = ring_condition_check(T, scheme=scheme)
+    assert (scheme.finite, scheme.reduced, scheme.points, scheme.length) == groebner_degeneracy_scheme(T)
+    assert (rc.status, rc.reason, rc.saturated_equal, rc.unsaturated_equal) == groebner_ring_condition(T)
+    assert _certified(scheme) == (case != "alpha_is_beta")
+    assert rc.passed == (case not in ("alpha_is_beta", "perturbed"))
+
+
+def test_gf_verify_and_reduce_run_no_buchberger(golden_tableaux, monkeypatch):
+    # a passing GF(p) verify op and a reduce_k11 op are answered by linear
+    # algebra; golden Q seed 0 and the alpha = beta mutant still take the
+    # Groebner route, so both fallbacks stay exercised
+    calls = []
+    run = ideals._buchberger
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "_buchberger", counted)
+    for T in golden_tableaux:
+        assert verify_instance(T).overall
+    T = golden_tableaux[0]
+    scrambled = apply_op_word(T, random_move_word(DetRng(1700), 20, 3, T.ring.field))
+    assert verify_normal_shape(reduce_k11(scrambled).tableau).ok
+    assert calls == []
+    assert verify_instance(realize(sample(0, QQ))).overall
+    assert calls
+    calls.clear()
+    assert not verify_instance(_alpha_is_beta(T)).overall
+    assert calls
+
+
+def test_k2_10_answers_agree_over_q_and_gf():
+    # the same small-integer data: Q takes the Groebner route, GF(32003)
+    # the certified one, and every answer agrees
+    answers, routes = [], []
+    for field in (QQ, GF(DEFAULT_PRIME)):
+        T = k2_10_fixture(field)
+        scheme = degeneracy_scheme(T)
+        rc = ring_condition_check(T, scheme=scheme)
+        answers.append(
+            (
+                (scheme.finite, scheme.reduced, scheme.points, scheme.length),
+                (rc.status, rc.reason, rc.saturated_equal, rc.unsaturated_equal),
+                verify_instance(T).to_json(),
+            )
+        )
+        routes.append(_certified(scheme))
+    assert answers[0] == answers[1]
+    assert routes == [False, True]
 
 
 def test_conductor(golden_tableau):

@@ -4,6 +4,7 @@ import hashlib
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,13 +24,16 @@ from symcanon.ideals import (
     multiplicity,
     normal_form_poly,
     same_hilbert_polynomial,
+    PointAlgebra,
+    regular_length,
     saturate,
     zero_dim_analysis,
     _multiplication_operator,
     _standard_monomials,
+    _trial_forms,
 )
 from symcanon.orders import GREVLEX, LEX, elimination, grevlex_with_last
-from symcanon.poly import EXPONENT_BOUND, Polynomial, PolyRing, graded_piece, parse_poly
+from symcanon.poly import EXPONENT_BOUND, Polynomial, PolyRing, graded_basis, graded_piece, parse_poly
 from symcanon.paramgen import realize, sample
 from symcanon.tableau import Minors, degeneracy_scheme, erase_first_row, fitting_ideal
 
@@ -557,6 +561,106 @@ def test_point_analysis_refuses_when_every_form_meets_a_point():
     assert multiplicity(ideal) == 2
     with pytest.raises(BudgetExceededError, match="0 <= c < 5"):
         zero_dim_analysis(ideal)
+
+
+def _unit_rank_test(ideal, m):
+    """Whether some trial form l has (I + l)_m = R_m."""
+    ring = ideal.ring
+    full = len(graded_basis(ring, m))
+    return any(
+        linalg.rank(np.vstack([ideal.piece(m).rows, graded_piece([l], m, ring)]), ring.field) == full
+        for l in _trial_forms(ring, hilbert_function(ideal, m))
+    )
+
+
+@pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ], ids=["gf", "q"])
+def test_regularity_certificate_refuses_and_the_groebner_route_answers(field):
+    # the degree-2 part of (x2, x3, x0^2, x1^2) cuts a point of length 4
+    # whose ideal is 3-regular, not 2-regular: HF is 4 in degrees 2 and 3,
+    # and no form l has (I + l)_2 = R_2
+    ring = PolyRing(field=field)
+    x = ring.gens()
+    quadrics = Ideal(ring, [x[2] * v for v in x] + [x[3] * v for v in x] + [x[0] ** 2, x[1] ** 2])
+    assert [hilbert_function(quadrics, d) for d in (2, 3)] == [4, 4]
+    assert not _unit_rank_test(quadrics, 2)
+    assert regular_length(quadrics, 2) is None
+    assert _verdict(zero_dim_analysis(quadrics)) == (False, 1, 4)
+
+
+def test_regularity_certificate_needs_the_colon_test():
+    # 13 random quadrics through (0:0:0:0:1): a form passes (I + l)_2 = R_2,
+    # but HF is 2 in degree 2 and 1 in degree 3, so (I : l)_2 != I_2 for
+    # every l, and the point is simple
+    field = GF(DEFAULT_PRIME)
+    ring = PolyRing(field=field)
+    rng = DetRng(7)
+    through = [m for m in graded_basis(ring, 2) if m[4] < 2]
+    ideal = Ideal(ring, [ring.from_terms({m: field.of_int(rng.randint(-5, 5)) for m in through}) for _ in range(13)])
+    assert [hilbert_function(ideal, d) for d in (2, 3)] == [2, 1]
+    assert _unit_rank_test(ideal, 2)
+    assert regular_length(ideal, 2) is None
+    assert _verdict(zero_dim_analysis(ideal)) == (True, 1, 1)
+
+
+@pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ], ids=["gf", "q"])
+def test_regularity_certificate_on_the_degeneracy_ideals(field):
+    # I_n(A') of golden seed 0 (n = 2) and of the K2 = 10 fixture (n = 1)
+    # are certified over GF(p) with the lengths 3 and 1, never over Q
+    for T, e in ((realize(sample(0, field)), 3), (k2_10_fixture(field), 1)):
+        expected = e if field.characteristic else None
+        assert regular_length(_degeneracy_ideal(T), T.n) == expected
+
+
+def test_point_algebra_refuses_a_degree_off_the_length(golden_tableau):
+    # HF_{R/I}(1) = 5 for I = I_2(A'), not the length 3
+    ideal = _degeneracy_ideal(golden_tableau)
+    assert hilbert_function(ideal, 1) == 5
+    with pytest.raises(ContractError, match="not the length 3"):
+        PointAlgebra(ideal, 1, 3)
+    assert PointAlgebra(ideal, 2, 3).points == 3
+
+
+def _point_algebras(T):
+    # the certified one, on I_n(A') in degree n, and the Groebner one, on
+    # the saturation in its first stable degree
+    ideal = _degeneracy_ideal(T)
+    return [PointAlgebra(ideal, T.n, regular_length(ideal, T.n)), zero_dim_analysis(ideal)]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_point_algebra_class_in_its_degree_is_the_residue(seed):
+    # for f of degree m, sum_a f_a theta^a 1 is f's residue on the standard
+    # monomials: theta^a 1 stands for x^a h^(m - |a|) with 1 for h^m
+    T = realize(sample(seed, GF(DEFAULT_PRIME)))
+    rng = DetRng(300 + seed)
+    for algebra in _point_algebras(T):
+        J, m = algebra.ideal, algebra.degree
+        standard = [j for j in range(len(graded_basis(J.ring, m))) if j not in set(J.piece(m).pivots)]
+        for _ in range(4):
+            f = random_homogeneous(J.ring, rng, m)
+            residue = J.piece(m).reduce(graded_piece([f], m, J.ring, 0)[0])[standard]
+            assert list(algebra.classes([f], m)[0]) == list(residue)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_point_algebra_class_zero_is_membership(seed):
+    # in degree 4 the certified ideal is its saturation: a quartic's class is
+    # zero exactly when it lies in I_2(A')_4, for members and for others,
+    # and both algebras agree on it
+    T = realize(sample(seed, GF(DEFAULT_PRIME)))
+    ring = T.ring
+    ideal = _degeneracy_ideal(T)
+    rng = DetRng(400 + seed)
+    quartics = []
+    for k in range(12):
+        f = ring.zero()
+        for g in ideal.generators[:5]:
+            f = f + random_homogeneous(ring, rng, 2) * g
+        quartics.append(f if k % 2 else f + random_homogeneous(ring, rng, 4))
+    members = [ideal.piece(4).contains(row) for row in graded_piece(quartics, 4, ring, 0)]
+    assert members == [bool(k % 2) for k in range(12)]
+    for algebra in _point_algebras(T):
+        assert [not c.any() for c in algebra.classes(quartics, 4)] == members
 
 
 def test_hilbert_function(R):
