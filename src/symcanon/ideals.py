@@ -2,8 +2,8 @@
 dimension, degree, and the analysis of point schemes (reducedness and the
 distinct-point count, from the rank of the trace form; no random draws).
 A point scheme's algebra (``PointAlgebra``) is read from two pieces that
-equal the saturation's: over GF(p) an ideal's own, once a regularity
-certificate (``regular_length``) holds, with no Groebner basis.
+equal the saturation's: an ideal's own, once a regularity certificate
+(``regular_length``) holds, with no Groebner basis.
 
 Everything public here assumes homogeneous input; this matches the graded
 setting of the geometry.  A question about one degree d (membership, normal
@@ -667,15 +667,15 @@ def _trial_forms(ring: PolyRing, e: int) -> List[Polynomial]:
 
 
 def regular_length(I: Ideal, m: int) -> Optional[int]:
-    """Over GF(p), HF_{R/I}(m) > 0 for I generated in degree m, when a trial
-    form l certifies that I is m-regular, so I_t = sat(I)_t for t >= m and
-    the scheme is finite of that length (Bayer-Stillman, Invent. Math. 87,
-    1987, Thm 1.10); None otherwise, and over Q.  (I + l)_m = R_m makes l
-    map (R/I)_t onto (R/I)_{t+1} for t >= m; then (I : l)_m = I_m, l one to
-    one from (R/I)_m, is HF(m + 1) = HF(m).
+    """HF_{R/I}(m) > 0 for I generated in degree m, when a trial form l
+    certifies that I is m-regular, so I_t = sat(I)_t for t >= m and the
+    scheme is finite of that length (Bayer-Stillman, Invent. Math. 87, 1987,
+    Thm 1.10); None otherwise.  (I + l)_m = R_m makes l map (R/I)_t onto
+    (R/I)_{t+1} for t >= m; then (I : l)_m = I_m, l one to one from
+    (R/I)_m, is HF(m + 1) = HF(m).
     """
     ring, field = I.ring, I.ring.field
-    if not field.characteristic or any(g.degree() != m for g in I.generators):
+    if any(g.degree() != m for g in I.generators):
         return None
     e = hilbert_function(I, m)
     if e == 0 or hilbert_function(I, m + 1) != e:  # the colon test, for every l

@@ -5,8 +5,9 @@ Matrices are lists of rows of field scalars.  Over GF(p) the hot paths
 Gauss-Jordan on numpy int64 residues: panels of 64 columns, whose updates
 are exact int64 matrix products reduced mod p (no float64 BLAS) restricted
 to the nonzero rows and columns, so sparse Macaulay-type matrices stay
-cheap.  Over Q they run fraction-free Bareiss for ranks and exact Fraction
-elimination otherwise.  Nothing here is ever approximate.
+cheap.  Over Q they run one fraction-free Gauss-Jordan on integer rows
+(``_integer_rref``), and products sum integer numerators (``vecmat``).
+Nothing here is ever approximate.
 
 Both eliminations search the pivots column by column and take, in each
 column, the row with the least index in the input among those nonzero
@@ -18,7 +19,7 @@ J. Symb. Comp. 56, 2013); ``Echelon`` keeps those rows.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -165,13 +166,39 @@ def rref(rows: Matrix, field: FieldSpec, return_profile: bool = False) -> tuple:
         a, pivots, profile = _np_rref(_np(rows), field.p)
         out = [[int(x) for x in row] for row in a], pivots, profile
     else:
-        out = _fraction_rref([[Fraction(x) for x in row] for row in rows])
+        a, pivots, profile = _integer_rref(rows)
+        zero = Fraction(0)
+        red = [[Fraction(x, row[c]) if x else zero for x in row] for row, c in zip(a, pivots)]
+        out = red + [[zero] * len(rows[0]) for _ in range(len(a) - len(pivots))], pivots, profile
     return out if return_profile else out[:2]
 
 
-def _fraction_rref(a: List[List[Fraction]]) -> Tuple[Matrix, List[int], List[int]]:
-    """Gauss-Jordan over Q in place, pivots chosen as in ``_gauss_jordan``:
-    the rref, its pivots and the row rank profile."""
+def _numerators(x) -> Tuple[np.ndarray, int]:
+    """An array of rationals as its integer numerators (an object array of
+    the same shape) over the lcm of their denominators."""
+    x = np.asarray(x, dtype=object)
+    den = lcm(*(v.denominator for v in x.flat))
+    nums = [int(v.numerator) * (den // v.denominator) for v in x.flat]
+    return np.array(nums, dtype=object).reshape(x.shape), den
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """row divided by the gcd of its entries."""
+    k = gcd(*row)
+    return row if k in (0, 1) else [x // k for x in row]
+
+
+def _integer_rref(rows: Matrix) -> Tuple[List[List[int]], List[int], List[int]]:
+    """Fraction-free Gauss-Jordan over Q, pivots chosen as in
+    ``_gauss_jordan``: the pivot rows (the rref's rows times integers, each
+    with coprime entries) then the zero rows, the pivots and the row rank
+    profile.  Each row is scaled to integers by the lcm of its denominators
+    and divided by its content.  The pivot entry p clears the entry f of
+    another row by row <- (p/g) row - (f/g) pivot row, g = gcd(p, f), and
+    the content of the result is divided out, so entries stay as small as
+    the answer's (Bareiss, Math. Comp. 22, 1968, keeps them small by exact
+    divisions instead)."""
+    a = [_primitive(_numerators(row)[0].tolist()) for row in rows]
     m, n = len(a), len(a[0])
     order = list(range(m))
     pivots = []
@@ -184,14 +211,14 @@ def _fraction_rref(a: List[List[Fraction]]) -> Tuple[Matrix, List[int], List[int
             continue
         a[r], a[pivot] = a[pivot], a[r]
         order[r], order[pivot] = order[pivot], order[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        support = [(j, y) for j, y in enumerate(a[r]) if y]
+        prow = a[r]
+        p = prow[c]
         for i in range(m):
-            if i != r and a[i][c]:
-                row, f = a[i], a[i][c]
-                for j, y in support:
-                    row[j] -= f * y
+            f = a[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                a[i] = _primitive([pg * x - fg * y for x, y in zip(a[i], prow)])
         pivots.append(c)
         r += 1
     return a, pivots, sorted(order[:r])
@@ -202,40 +229,7 @@ def rank(rows: Matrix, field: FieldSpec) -> int:
         return 0
     if _is_modp(field):
         return len(_np_rref(_np(rows), field.p)[1])
-    return _bareiss_rank(_clear_denominators(rows))
-
-
-def _clear_denominators(rows: Matrix) -> List[List[int]]:
-    out = []
-    for row in rows:
-        fracs = [Fraction(x) for x in row]
-        lcm = 1
-        for f in fracs:
-            lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-        out.append([int(f * lcm) for f in fracs])
-    return out
-
-
-def _bareiss_rank(a: List[List[int]]) -> int:
-    """Fraction-free Gaussian elimination rank over the integers."""
-    a = [row[:] for row in a]
-    m, n = len(a), len(a[0])
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-    return r
+    return len(_integer_rref(rows)[1])
 
 
 def nullspace(rows: Matrix, field: FieldSpec, ncols: Optional[int] = None) -> List[List[Scalar]]:
@@ -302,11 +296,16 @@ def solve_particular(rows: Matrix, rhs: Sequence[Scalar], field: FieldSpec) -> O
 
 def vecmat(x: np.ndarray, y: np.ndarray, field: FieldSpec) -> np.ndarray:
     """x times y, each a vector or a matrix, both residues mod p over GF(p)
-    (int64) or field scalars (object arrays) over Q."""
+    (int64) or field scalars (object arrays) over Q.  Over Q each operand
+    is its integer numerators over one common denominator: one integer
+    product, then one Fraction per entry."""
     if _is_modp(field):
         out = _mm(np.atleast_2d(x), y, field.p)
         return out if x.ndim > 1 else out[0]
-    return x.dot(y)
+    (nx, dx), (ny, dy) = _numerators(x), _numerators(y)
+    out = np.asarray(nx.dot(ny), dtype=object)
+    den, zero = dx * dy, Fraction(0)
+    return np.array([Fraction(v, den) if v else zero for v in out.flat], dtype=object).reshape(out.shape)
 
 
 class Echelon:

@@ -7,8 +7,8 @@ symmetry alpha beta^t = beta alpha^t.  The six symmetry-preserving moves
 and pair rotations) act on it; together they realize the PGl x PSp action.
 Each tableau holds one lazily filled table of the minors of A (``Minors``):
 every Fitting ideal, Cramer numerator and block determinant is a read of it.
-The degeneracy scheme of A' is read, over GF(p), from two pieces of I_n(A')
-once a regularity certificate holds, and from its saturation otherwise.
+The degeneracy scheme of A' is read from two pieces of I_n(A') once a
+regularity certificate holds, and from its saturation otherwise.
 Scalar tableaux (the n x (2n+2) degree-0 analogue) share the same move
 engine.  A column move becomes an action in one place, ``act_on_columns``;
 its symplectic scalar matrix is that action on the identity.
@@ -469,9 +469,9 @@ class DegeneracyScheme:
 
 
 def degeneracy_scheme(T: SymmetricTableau) -> DegeneracyScheme:
-    """The degeneracy scheme of A', with no Groebner basis over GF(p) when a
-    form certifies that I_n(A') is n-regular (``regular_length``); from the
-    saturation otherwise, and over Q."""
+    """The degeneracy scheme of A', with no Groebner basis when a form
+    certifies that I_n(A') is n-regular (``regular_length``); from the
+    saturation otherwise."""
     I = fitting_ideal(T.minors(), T.n, rows=range(1, T.n + 1))
     e = regular_length(I, T.n)
     if e is not None:

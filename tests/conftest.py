@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 import pytest
@@ -187,6 +188,65 @@ def coeff_matrix(polys, d, ring=None):
             row[col[m]] = c
         rows.append(row)
     return rows, basis
+
+
+def fraction_rref(rows):
+    """The earlier Gauss-Jordan over Q on Fractions, pivots chosen as in
+    ``linalg._gauss_jordan``: the rref, its pivots and the row rank
+    profile.  The oracle of ``linalg._integer_rref``."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    m, n = len(a), len(a[0])
+    order = list(range(m))
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pivot = min((i for i in range(r, m) if a[i][c]), key=order.__getitem__, default=None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        order[r], order[pivot] = order[pivot], order[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        support = [(j, y) for j, y in enumerate(a[r]) if y]
+        for i in range(m):
+            if i != r and a[i][c]:
+                row, f = a[i], a[i][c]
+                for j, y in support:
+                    row[j] -= f * y
+        pivots.append(c)
+        r += 1
+    return a, pivots, sorted(order[:r])
+
+
+def bareiss_rank(rows):
+    """The earlier rank over Q: each row times the lcm of its denominators,
+    then Bareiss's fraction-free elimination over the integers."""
+    a = []
+    for row in rows:
+        fracs = [Fraction(x) for x in row]
+        den = 1
+        for f in fracs:
+            den = den * f.denominator // gcd(den, f.denominator)
+        a.append([int(f * den) for f in fracs])
+    m, n = len(a), len(a[0])
+    prev = 1
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, m):
+            for j in range(c + 1, n):
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+    return r
 
 
 def cramer_system(table):

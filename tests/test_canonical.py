@@ -392,15 +392,17 @@ ROUTE_CASES = [f"gf-{s}" for s in GOLDEN_SEEDS] + [
     "gf5-reduce",
     "alpha_is_beta",
     "perturbed",
-]
+] + [f"q-{s}" for s in Q_SEEDS] + ["k2_10-q", "alpha_is_beta-q", "perturbed-q"]
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES)
 def test_certified_route_matches_the_groebner_route(golden_tableaux, case):
     # the degeneracy scheme and the ring condition against the saturating
-    # route kept in conftest.  Every input but the alpha = beta mutant is
-    # certified n-regular; the perturbed one fails the ring condition
+    # route kept in conftest, over GF(p) and over Q.  Every input but the
+    # alpha = beta mutants is certified n-regular; the perturbed ones fail
+    # the ring condition.  "-q" marks a mutant of golden Q seed 0
     kind, _, arg = case.partition("-")
+    base = realize(sample(0, QQ)) if arg == "q" else golden_tableaux[0]
     if kind == "gf7":
         T = realize(sample(int(arg), GF(7)))
     elif kind == "gfmax":
@@ -410,21 +412,23 @@ def test_certified_route_matches_the_groebner_route(golden_tableaux, case):
     elif kind == "gf5":
         T = _gf5_reduce_input()
     elif kind == "perturbed":
-        T = _perturbed(golden_tableaux[0])
+        T = _perturbed(base)
+    elif kind == "alpha_is_beta":
+        T = _alpha_is_beta(base)
     else:
         T = _pool_tableau(golden_tableaux, case)
     scheme = degeneracy_scheme(T)
     rc = ring_condition_check(T, scheme=scheme)
     assert (scheme.finite, scheme.reduced, scheme.points, scheme.length) == groebner_degeneracy_scheme(T)
     assert (rc.status, rc.reason, rc.saturated_equal, rc.unsaturated_equal) == groebner_ring_condition(T)
-    assert _certified(scheme) == (case != "alpha_is_beta")
-    assert rc.passed == (case not in ("alpha_is_beta", "perturbed"))
+    assert _certified(scheme) == (kind != "alpha_is_beta")
+    assert rc.passed == (kind not in ("alpha_is_beta", "perturbed"))
 
 
 def test_gf_verify_and_reduce_run_no_buchberger(golden_tableaux, monkeypatch):
-    # a passing GF(p) verify op and a reduce_k11 op are answered by linear
-    # algebra; golden Q seed 0 and the alpha = beta mutant still take the
-    # Groebner route, so both fallbacks stay exercised
+    # a passing verify op, over GF(p) or over Q, and a reduce_k11 op are
+    # answered by linear algebra; the alpha = beta mutant is refused the
+    # certificate and takes the Groebner route over both fields
     calls = []
     run = ideals._buchberger
 
@@ -438,17 +442,19 @@ def test_gf_verify_and_reduce_run_no_buchberger(golden_tableaux, monkeypatch):
     T = golden_tableaux[0]
     scrambled = apply_op_word(T, random_move_word(DetRng(1700), 20, 3, T.ring.field))
     assert verify_normal_shape(reduce_k11(scrambled).tableau).ok
+    golden_q = [realize(sample(s, QQ)) for s in Q_SEEDS]
+    for Tq in golden_q:
+        assert verify_instance(Tq).overall
     assert calls == []
-    assert verify_instance(realize(sample(0, QQ))).overall
-    assert calls
-    calls.clear()
-    assert not verify_instance(_alpha_is_beta(T)).overall
-    assert calls
+    for base in (T, golden_q[0]):
+        assert not verify_instance(_alpha_is_beta(base)).overall
+        assert calls
+        calls.clear()
 
 
 def test_k2_10_answers_agree_over_q_and_gf():
-    # the same small-integer data: Q takes the Groebner route, GF(32003)
-    # the certified one, and every answer agrees
+    # the same small-integer data: both fields take the certified route,
+    # and every answer agrees
     answers, routes = [], []
     for field in (QQ, GF(DEFAULT_PRIME)):
         T = k2_10_fixture(field)
@@ -463,7 +469,7 @@ def test_k2_10_answers_agree_over_q_and_gf():
         )
         routes.append(_certified(scheme))
     assert answers[0] == answers[1]
-    assert routes == [False, True]
+    assert routes == [True, True]
 
 
 def test_conductor(golden_tableau):

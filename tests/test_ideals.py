@@ -602,13 +602,25 @@ def test_regularity_certificate_needs_the_colon_test():
     assert _verdict(zero_dim_analysis(ideal)) == (True, 1, 1)
 
 
+def test_regularity_certificate_needs_the_colon_test_over_q():
+    # the same 13 quadrics over Q: a form passes (I + l)_2 = R_2, and only
+    # the colon test refuses the certificate
+    ring = PolyRing(field=QQ)
+    rng = DetRng(7)
+    through = [m for m in graded_basis(ring, 2) if m[4] < 2]
+    ideal = Ideal(ring, [ring.from_terms({m: QQ.of_int(rng.randint(-5, 5)) for m in through}) for _ in range(13)])
+    assert [hilbert_function(ideal, d) for d in (2, 3)] == [2, 1]
+    assert _unit_rank_test(ideal, 2)
+    assert regular_length(ideal, 2) is None
+    assert _verdict(zero_dim_analysis(ideal)) == (True, 1, 1)
+
+
 @pytest.mark.parametrize("field", [GF(DEFAULT_PRIME), QQ], ids=["gf", "q"])
 def test_regularity_certificate_on_the_degeneracy_ideals(field):
     # I_n(A') of golden seed 0 (n = 2) and of the K2 = 10 fixture (n = 1)
-    # are certified over GF(p) with the lengths 3 and 1, never over Q
+    # are certified with the lengths 3 and 1, over GF(p) and over Q
     for T, e in ((realize(sample(0, field)), 3), (k2_10_fixture(field), 1)):
-        expected = e if field.characteristic else None
-        assert regular_length(_degeneracy_ideal(T), T.n) == expected
+        assert regular_length(_degeneracy_ideal(T), T.n) == e
 
 
 def test_point_algebra_refuses_a_degree_off_the_length(golden_tableau):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import types
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from symcanon import linalg
 from symcanon.fields import DEFAULT_PRIME, DetRng, GF, QQ
+
+from conftest import bareiss_rank, fraction_rref
 
 FIELDS = [QQ, GF(DEFAULT_PRIME), GF(3)]
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -343,6 +346,77 @@ def test_row_rank_profile_after_a_row_swap(field):
     # the first pivot, row 2, swaps places with row 0; then row 1 = 2 row 0
     # stands first in column 1, but row 0 comes first in the input
     _profile_case(np.array([[0, 1], [0, 2], [1, 0]], dtype=object), field)
+
+
+# -- the fraction-free elimination over Q against the Fraction loop -----------
+
+
+@st.composite
+def rational_matrices(draw):
+    """An m x n matrix of small rationals over mixed denominators, 1 x n and
+    m x 1 shapes among them; then, maybe, zero rows and columns and rows
+    that are rational combinations of earlier rows."""
+    m = draw(st.one_of(st.just(1), st.integers(1, 9)))
+    n = draw(st.one_of(st.just(1), st.integers(1, 9)))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12]))
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        a[i] = [Fraction(0)] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for row in a:
+            row[j] = Fraction(0)
+    for i in range(1, m):
+        if draw(st.integers(0, 3)) == 0:
+            k, c, d = draw(st.integers(0, i - 1)), draw(entry), draw(entry)
+            a[i] = [c * x + d * y for x, y in zip(a[k], a[draw(st.integers(0, i - 1))])]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=rational_matrices())
+def test_integer_rref_matches_the_fraction_loop(a):
+    red, pivots, profile = linalg.rref(a, QQ, return_profile=True)
+    assert (red, pivots, profile) == fraction_rref(a)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert linalg.rank(a, QQ) == len(pivots) == bareiss_rank(a)
+    ech = linalg.Echelon(a, QQ)
+    assert ech.pivots == pivots and ech.rows.tolist() == red[: len(pivots)]
+    assert ech.independent.tolist() == [a[i] for i in profile]
+    # the integer pivot rows are the rref's rows over their lcm denominator,
+    # up to sign: their entries have no common factor
+    rows = linalg._integer_rref(a)[0]
+    for row, want in zip(rows[: len(pivots)], red):
+        den = lcm(*(x.denominator for x in want))
+        assert row in ([int(x * den) for x in want], [-int(x * den) for x in want])
+        assert gcd(*row) == 1
+    assert not any(any(row) for row in rows[len(pivots) :])
+
+
+def test_vecmat_over_q_matches_the_object_product():
+    # integer numerators over common denominators give the product of
+    # Fractions entry for entry, every entry a Fraction, zeros included
+    rng = DetRng(13)
+
+    def fracs(*shape):
+        x = np.array([Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(int(np.prod(shape)))])
+        return x.astype(object).reshape(shape)
+
+    zeros = np.full((3, 4), Fraction(0), dtype=object)
+    cases = [
+        (fracs(3), fracs(3, 4)),
+        (fracs(2, 3), fracs(3, 4)),
+        (fracs(4, 3), fracs(3)),
+        (zeros, fracs(4, 2)),
+        (fracs(2, 3), np.array([[Fraction(0), Fraction(1, 2)]] * 3, dtype=object)),
+        (fracs(0, 3), fracs(3, 2)),
+        (fracs(2, 3), fracs(3, 0)),
+        (fracs(2, 0), fracs(0, 3)),
+    ]
+    for x, y in cases:
+        got = linalg.vecmat(x, y, QQ)
+        want = x.dot(y)
+        assert got.shape == want.shape and got.tolist() == want.tolist(), (x.shape, y.shape)
+        assert all(type(v) is Fraction for v in got.flat)
 
 
 def test_tracer_measure_of_the_kernel():
